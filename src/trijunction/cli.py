@@ -381,7 +381,8 @@ def _discretization_tolerance(cfg, mesh, u):
         op2 = Operator(fine)
         e_f = CrackField(fine, up.values, op2).energy()
         est = abs(e_f - e_c)
-    except Exception:
+    except TrijunctionError as exc:
+        log.warning("discretization estimate failed (%s); tolerance falls back to 1e-8", exc)
         est = 0.0
     return max(1e-8, 4.0 * est)
 

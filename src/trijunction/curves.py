@@ -10,6 +10,7 @@ that a circle with outward normal has H = +1/R.
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.spatial import cKDTree
 
 from .errors import GeometryError, ProjectionError
 
@@ -94,6 +95,9 @@ class ParamCurve:
         self.length = self._measure_length(sx, sy)
         if np.min(np.hypot(sx(t, 1), sy(t, 1))) < 1e-10 * self.length:
             raise GeometryError("degenerate parametrization: |gamma'| ~ 0")
+        # scan points that seed the closest-point Newton iteration
+        self._scan = t if len(t) >= 128 else np.linspace(0.0, 1.0, 256)
+        self._scan_tree = cKDTree(self.point(self._scan))
 
     def _fit(self, t, px, py, end_tangents, scale):
         if self.closed:
@@ -215,10 +219,6 @@ class ParamCurve:
             return -self.tangent(0.0)
         return self.tangent(1.0)
 
-    def reversed(self):
-        pts = self.point(np.linspace(1.0, 0.0, len(self.knots)))
-        return ParamCurve(pts, closed=self.closed, flag=-self.flag)
-
     # ------------------------------------------------------------------
     # projection / signed distance
     # ------------------------------------------------------------------
@@ -240,38 +240,57 @@ class ParamCurve:
             self._reach = float(min(1.0 / hmax, 0.5 * self_d))
         return self._reach
 
+    def _nearest_scan(self, x):
+        """Parameter of the scan point nearest to each x.
+
+        Ties go to the lowest scan index, with squared distances rounded as
+        a dense (points x scan) comparison would round them; points with a
+        non-finite coordinate get the first scan point.
+        """
+        tree = self._scan_tree
+        idx = np.zeros(x.shape[0], dtype=int)
+        ok = np.all(np.isfinite(x), axis=1)
+        xo = x[ok]
+        dist, near = tree.query(xo, k=2)
+        best = near[:, 0]
+        # a second scan point within rounding of the nearest: resolve exactly
+        for j in np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + 1e-9)):
+            cand = np.sort(tree.query_ball_point(xo[j], dist[j, 0] * (1.0 + 1e-9)))
+            d2 = np.sum((xo[j] - tree.data[cand]) ** 2, axis=-1)
+            best[j] = cand[np.argmin(d2)]
+        idx[ok] = best
+        return self._scan[idx]
+
     def project(self, x, require_interior=False):
         """Closest-point parameters for points x, Newton-polished.
 
         Returns (s, d, interior) where d is the signed distance along nu and
         interior marks points whose foot is not clamped to an endpoint.
+        Newton runs from the nearest scan point until the largest update is
+        below 1e-14 (at most 30 steps). A point whose update is exactly zero
+        is a fixed point of the step, so leaving it out of later steps
+        changes no result.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        scan = self.knots if len(self.knots) >= 128 else np.linspace(0.0, 1.0, 256)
-        pts = self.point(scan)
-        # chunked to bound memory
-        s = np.empty(x.shape[0])
-        for lo in range(0, x.shape[0], 4096):
-            hi = min(lo + 4096, x.shape[0])
-            d2 = np.sum((x[lo:hi, None, :] - pts[None, :, :]) ** 2, axis=-1)
-            s[lo:hi] = scan[np.argmin(d2, axis=1)]
+        s = self._nearest_scan(x)
+        active = np.arange(x.shape[0])
         for _ in range(30):
-            g = self.point(s)
-            v = self.velocity(s)
-            a = self.accel(s)
-            r = x - g
+            xa, sa = x[active], s[active]
+            v = self.velocity(sa)
+            r = xa - self.point(sa)
             f = np.sum(r * v, axis=-1)
-            fp = np.sum(r * a, axis=-1) - np.sum(v * v, axis=-1)
+            fp = np.sum(r * self.accel(sa), axis=-1) - np.sum(v * v, axis=-1)
             step = np.where(np.abs(fp) > 1e-30, f / fp, 0.0)
-            s_new = s - step
+            s_new = sa - step
             if self.closed:
                 s_new = np.mod(s_new, 1.0)
             else:
                 s_new = np.clip(s_new, 0.0, 1.0)
-            if np.max(np.abs(s_new - s)) < 1e-14:
-                s = s_new
+            update = s_new - sa
+            s[active] = s_new
+            if np.max(np.abs(update)) < 1e-14:
                 break
-            s = s_new
+            active = active[update != 0.0]
         foot = self.point(s)
         nu = self.normal(s)
         d = np.sum((x - foot) * nu, axis=-1)
@@ -342,17 +361,6 @@ def tangential_gradient(curve, s, grad_fn):
     tau = curve.tangent(s)
     g = np.atleast_2d(np.asarray(grad_fn(curve.point(s)), float))
     return np.sum(g * tau, axis=-1)[:, None] * tau
-
-
-def tangential_gradient_curvewise(curve, s, values_fn, ds=1e-5):
-    """d/d(arclength) of a scalar defined on the curve, times tau."""
-    s = np.atleast_1d(np.asarray(s, float))
-    sp = np.linalg.norm(curve.velocity(s), axis=-1)
-    f1 = np.asarray(values_fn(np.clip(s + ds, 0.0, 1.0)), float)
-    f0 = np.asarray(values_fn(np.clip(s - ds, 0.0, 1.0)), float)
-    dd = np.clip(s + ds, 0.0, 1.0) - np.clip(s - ds, 0.0, 1.0)
-    dfds = (f1 - f0) / dd / sp
-    return dfds[:, None] * curve.tangent(s)
 
 
 def tangential_divergence(curve, s, field, jac=None):

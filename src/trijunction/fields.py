@@ -1,4 +1,4 @@
-"""Vector fields, cutoffs, tube extensions and flow maps.
+"""Vector fields, cutoffs, corner blends and flow maps.
 
 Everything here is vectorized over point arrays of shape (n, 2).
 """
@@ -118,18 +118,6 @@ def rk4_flow_with_jac(field, P, t, substeps=8):
 # ----------------------------------------------------------------------
 # tube / corner machinery shared by the test-field and flow constructions
 # ----------------------------------------------------------------------
-
-class TubeExtension:
-    """Field on a curve extended constant along the closest-point fibers."""
-
-    def __init__(self, curve, values_fn):
-        self.curve = curve
-        self.values_fn = values_fn  # maps parameters s to (n, 2) or (n,) values
-
-    def __call__(self, P):
-        s, _, _ = self.curve.project(np.atleast_2d(P))
-        return np.asarray(self.values_fn(s), float)
-
 
 def corner_coordinates(curve_a, curve_b, corner, P, sa0=0.0, sb0=0.0,
                        iters=14, clamp=0.35):

@@ -8,7 +8,8 @@ import logging
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import AdmissibilityError, GeometryError, MeshError, SolveError
+from .errors import (AdmissibilityError, GeometryError, MeshError, SolveError,
+                     TrijunctionError)
 from .curves import ParamCurve, rot90
 from .fields import (VectorField, smoothstep, bump, ramp, radial_bump, rk4_flow,
                      rk4_flow_with_jac, CornerBlend, corner_coordinates)
@@ -209,10 +210,9 @@ class TestField:
         arms = self.config.arms
         r0 = np.linalg.norm(P - self.x0, axis=1)
         eta0 = ramp(r0, 0.55 * self.delta0, self.delta0)
-        d_arm = np.stack([arm.distance_to_set(P) for arm in arms], axis=1)
-        s_arm = np.empty_like(d_arm)
-        for i, arm in enumerate(arms):
-            s_arm[:, i], _, _ = arm.project(P)
+        s_arm = np.stack([arm.project(P)[0] for arm in arms], axis=1)
+        d_arm = np.stack([np.linalg.norm(P - arm.point(s_arm[:, i]), axis=-1)
+                          for i, arm in enumerate(arms)], axis=1)
         # junction patch: affine jet + ridge corrections (exact on each arm)
         jzone = eta0 > 0.0
         if np.any(jzone):
@@ -364,7 +364,8 @@ class BulkExtension:
             out[jzone] += (eta0[jzone, None] * val)
         w1 = 1.0 - eta0
         for i, arm in enumerate(arms):
-            d_i = arm.distance_to_set(P)
+            s_i, _, _ = arm.project(P)
+            d_i = np.linalg.norm(P - arm.point(s_i), axis=-1)
             x_i = arm.point(1.0)
             ri = np.linalg.norm(P - x_i, axis=1)
             eta_c = ramp(ri, 0.6 * self.delta_c[i], self.delta_c[i])
@@ -376,8 +377,8 @@ class BulkExtension:
             vals = np.zeros((idx.size, 2))
             tz = theta[idx] > 0
             if np.any(tz):
-                s_star, _, _ = arm.project(P[idx[tz]])
-                vals[tz] += theta[idx[tz], None] * np.asarray(self.arm_fns[i](s_star), float)
+                vals[tz] += (theta[idx[tz], None]
+                             * np.asarray(self.arm_fns[i](s_i[idx[tz]]), float))
             cz = eta_c[idx] > 0
             if np.any(cz):
                 vals[cz] += eta_c[idx[cz], None] * self._cblend[i](P[idx[cz]])
@@ -714,15 +715,15 @@ class ConnectingFamily:
             out = np.zeros_like(P)
             wsum = np.zeros(P.shape[0])
             for i, arm in enumerate(arms):
-                d = arm.distance_to_set(P)
+                s, _, _ = arm.project(P)
+                d = np.linalg.norm(P - arm.point(s), axis=-1)
                 th = chi(d ** 2 / w_R ** 2)
                 act = th > 0
                 if np.any(act):
-                    s_star, _, _ = arm.project(P[act])
                     x_i = arm.point(1.0)
                     wc = chi(np.sum((P[act] - x_i) ** 2, axis=1) / delta_R[i] ** 2)
                     t_prm, _, _ = config.outer.project(P[act])
-                    vec = ((1 - wc)[:, None] * arm.normal(s_star)
+                    vec = ((1 - wc)[:, None] * arm.normal(s[act])
                            + wc[:, None] * config.outer.tangent(t_prm))
                     out[act] += th[act, None] * vec
                     wsum[act] += th[act]
@@ -1126,8 +1127,8 @@ def perturbation_catalog(config, rng=None, n_random=4, basis_n=33):
         w = 0.85 * mu
 
         def Xb(P, i=i, arm=arm, w=w):
-            d = arm.distance_to_set(P)
             s_star, _, _ = arm.project(P)
+            d = np.linalg.norm(P - arm.point(s_star), axis=-1)
             prof = np.sin(np.pi * np.clip((s_star - 0.1) / 0.8, 0.0, 1.0)) ** 2
             return (ramp(d, 0.15 * w, w) * prof)[:, None] * arm.normal(s_star)
         X = VectorField(Xb, label="normal-bump-arm%d" % (i + 1))
@@ -1159,7 +1160,8 @@ def energy_comparison_sweep(config, u, mesh, catalog=None, amplitudes=(0.1, 0.01
                             rng=None, tol_energy=None):
     """MS(Phi) - MS(Id) for every cataloged perturbation/amplitude.
 
-    Failures of individual cases are recorded and the sweep continues.
+    A case that raises a TrijunctionError is recorded as failed and the
+    sweep continues; any other exception propagates.
     """
     if catalog is None:
         catalog = perturbation_catalog(config, rng)
@@ -1174,7 +1176,7 @@ def energy_comparison_sweep(config, u, mesh, catalog=None, amplitudes=(0.1, 0.01
                 e1, u_t, mesh_t, arms_t = energy_at_map(config, u, mesh, mp)
                 rec["delta"] = float(e1 - e0)
                 rec["ok"] = True
-            except Exception as exc:  # per-case failures logged, sweep continues
+            except TrijunctionError as exc:  # per-case failures logged, sweep continues
                 rec["ok"] = False
                 rec["error"] = "%s: %s" % (type(exc).__name__, exc)
                 log.warning("sweep case %s amp %g failed: %s", name, amp, exc)

@@ -2,12 +2,18 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from trijunction import (disk_config, trilobe_config, bent_arm_config,
                          generate_crack_mesh, mark_admissible_subdomain,
                          solve_equilibrium, SectorConstants)
 
 logging.getLogger("trijunction").setLevel(logging.WARNING)
+
+# the same examples on every run, and no per-example time limit (a loaded
+# host would otherwise fail a slow example)
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,14 @@
+import logging
 import os
 import subprocess
 import sys
 
 import pytest
 
-from trijunction.cli import main, Scenario, run_scenario
-from trijunction import disk_config, trilobe_config, bent_arm_config, save_config
+import trijunction.fem
+from trijunction.cli import main, Scenario, run_scenario, _discretization_tolerance
+from trijunction import (disk_config, trilobe_config, bent_arm_config, save_config,
+                         MeshError)
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +108,19 @@ def test_console_entry_point(tmp_path, cfg_files):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_discretization_tolerance_fallback_is_logged(disk, monkeypatch, caplog):
+    cfg, mesh, u = disk
+
+    def refine(exc):
+        def fn(mesh):
+            raise exc("refinement failed")
+        return fn
+    monkeypatch.setattr(trijunction.fem, "refine_uniform", refine(MeshError))
+    with caplog.at_level(logging.WARNING, logger="trijunction.cli"):
+        assert _discretization_tolerance(cfg, mesh, u) == 1e-8
+    assert "refinement failed" in caplog.text
+    monkeypatch.setattr(trijunction.fem, "refine_uniform", refine(ValueError))
+    with pytest.raises(ValueError):
+        _discretization_tolerance(cfg, mesh, u)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trijunction import ParamCurve, GeometryError, ProjectionError
 from trijunction.curves import divergence_formula_check, tangential_divergence, \
@@ -153,3 +155,125 @@ def test_reach_and_simplicity():
     c = ParamCurve.circle(radius=1.0, n=1500)
     assert 0.9 < c.reach <= 1.0
     assert c.is_simple()
+
+
+# ----------------------------------------------------------------------
+# closest-point projection: round trip and agreement with the dense scan
+# ----------------------------------------------------------------------
+
+def dense_project(curve, x):
+    """Reference projection: dense (points x scan) argmin seed, then Newton
+    on every point until the largest update is below 1e-14 (at most 30)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    scan = curve.knots if len(curve.knots) >= 128 else np.linspace(0.0, 1.0, 256)
+    pts = curve.point(scan)
+    s = np.empty(x.shape[0])
+    for lo in range(0, x.shape[0], 512):
+        hi = min(lo + 512, x.shape[0])
+        d2 = np.sum((x[lo:hi, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        s[lo:hi] = scan[np.argmin(d2, axis=1)]
+    for _ in range(30):
+        g = curve.point(s)
+        v = curve.velocity(s)
+        a = curve.accel(s)
+        r = x - g
+        f = np.sum(r * v, axis=-1)
+        fp = np.sum(r * a, axis=-1) - np.sum(v * v, axis=-1)
+        step = np.where(np.abs(fp) > 1e-30, f / fp, 0.0)
+        s_new = s - step
+        if curve.closed:
+            s_new = np.mod(s_new, 1.0)
+        else:
+            s_new = np.clip(s_new, 0.0, 1.0)
+        if np.max(np.abs(s_new - s)) < 1e-14:
+            s = s_new
+            break
+        s = s_new
+    foot = curve.point(s)
+    nu = curve.normal(s)
+    d = np.sum((x - foot) * nu, axis=-1)
+    off = np.linalg.norm(x - foot - d[:, None] * nu, axis=-1)
+    interior = curve.closed | ((s > 1e-12) & (s < 1.0 - 1e-12)) | (off < 1e-9 * (1.0 + np.abs(d)))
+    return s, d, interior
+
+
+def _wavy_arm():
+    x = np.linspace(-0.5, 0.5, 400)
+    return ParamCurve(np.stack([x, 0.3 * np.sin(2 * x) + 0.1 * x ** 2], axis=1))
+
+
+def _closed_loop():
+    th = np.linspace(0.0, 2.0 * np.pi, 600, endpoint=False)
+    return ParamCurve(np.stack([1.2 * np.cos(th), 0.8 * np.sin(th) + 0.1 * np.cos(3 * th)],
+                               axis=1), closed=True, flag=-1)
+
+
+# open arm (knot scan), open arc with the other flag, closed loop, and a
+# short segment whose knots are too few to scan (256-point grid)
+PROJECTION_CURVES = [_wavy_arm(), ParamCurve.arc((0.1, 0.0), 1.0, 0.2, 2.5, n=300).with_flag(-1),
+                     _closed_loop(), ParamCurve.line((0.0, 0.0), (1.0, 0.5), n=8)]
+
+
+def assert_bit_identical(curve, x):
+    for got, ref in zip(curve.project(x), dense_project(curve, x)):
+        assert np.array_equal(got, ref, equal_nan=True)
+
+
+@given(k=st.integers(0, len(PROJECTION_CURVES) - 1), s=st.floats(0.05, 0.95),
+       frac=st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True))
+def test_projection_round_trip(k, s, frac):
+    c = PROJECTION_CURVES[k]
+    d = frac * min(c.reach, c.length)  # a segment's reach is infinite
+    x = c.point(s) + d * c.normal(s)
+    s_p, d_p, interior = c.project(x[None, :])
+    assert abs(s_p[0] - s) < 1e-10
+    assert abs(d_p[0] - d) < 1e-10
+    assert interior[0]
+
+
+@given(k=st.integers(0, len(PROJECTION_CURVES) - 1),
+       x=arrays(float, st.tuples(st.integers(1, 40), st.just(2)),
+                elements=st.floats(-3.0, 3.0)))
+def test_projection_matches_dense_scan(k, x):
+    assert_bit_identical(PROJECTION_CURVES[k], x)
+
+
+@pytest.mark.parametrize("k", range(len(PROJECTION_CURVES)))
+def test_projection_matches_dense_scan_batch(k):
+    rng = np.random.default_rng(k)
+    c = PROJECTION_CURVES[k]
+    pts = c.point(np.linspace(0.0, 1.0, 400))
+    lo, hi = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
+    assert_bit_identical(c, lo + (hi - lo) * rng.random((5000, 2)))
+    # on-curve points, scan points themselves, and the points of a shrunk copy
+    assert_bit_identical(c, c.point(rng.random(500)))
+    assert_bit_identical(c, c.point(c.knots))
+    assert_bit_identical(c, 0.5 * pts + 0.5 * pts.mean(axis=0))
+    # non-finite points among finite ones
+    with np.errstate(invalid="ignore"):
+        assert_bit_identical(c, np.array([[np.nan, 0.0], [0.1, 0.2], [np.inf, 1.0]]))
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_projection_clamped_feet(k):
+    """Points past both endpoints project onto the endpoints (not interior)."""
+    c = PROJECTION_CURVES[k]
+    r = np.linspace(0.01, 1.0, 50)[:, None]
+    side = 0.3 * np.sin(np.linspace(0.0, 6.0, 50))[:, None]
+    out0 = c.point(0.0) - r * c.tangent(0.0) + side * c.normal(0.0)
+    out1 = c.point(1.0) + r * c.tangent(1.0) + side * c.normal(1.0)
+    x = np.vstack([out0, out1])
+    assert_bit_identical(c, x)
+    s, _, interior = c.project(x)
+    assert np.all(s[:50] == 0.0) and np.all(s[50:] == 1.0)
+    assert not np.any(interior)
+
+
+def test_projection_matches_dense_scan_on_ties():
+    """Points equidistant from many scan points: the lowest scan index wins."""
+    c = ParamCurve.circle(radius=1.0, n=600)
+    assert_bit_identical(c, np.zeros((3, 2)))
+    # on the bisectors of neighbouring scan points
+    pts = c.point(c.knots)
+    mid = 0.5 * (pts[:-1] + pts[1:])
+    assert_bit_identical(c, np.vstack([mid, 0.5 * mid, 1.5 * mid]))

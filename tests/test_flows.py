@@ -6,7 +6,7 @@ from trijunction import (VectorField, VelocityPair, JunctionScalar, ParamCurve,
                          construct_connecting_family, verify_flow_estimates,
                          extend_to_bulk, energy_at_map, energy_taylor_check,
                          energy_comparison_sweep, perturbation_catalog,
-                         AdmissibilityError, radial_bump, rk4_flow,
+                         AdmissibilityError, GeometryError, radial_bump, rk4_flow,
                          c2_distance_on_crack)
 from trijunction.fields import rk4_flow_with_jac, CornerBlend
 from trijunction.flows import chi, BulkExtension
@@ -239,3 +239,19 @@ def test_sweep_identity_entry(disk):
     out = energy_comparison_sweep(cfg, u, mesh, [("identity", ident)],
                                   amplitudes=(0.01,))
     assert abs(out["records"][0]["delta"]) < 1e-12
+
+
+def test_sweep_records_package_errors_only(disk):
+    cfg, mesh, u = disk
+
+    def failing(exc):
+        def fn(P):
+            raise exc("field failed")
+        return VelocityPair(VectorField(fn))
+    out = energy_comparison_sweep(cfg, u, mesh, [("geometry", failing(GeometryError))],
+                                  amplitudes=(0.01,))
+    assert out["n_failed"] == 1
+    assert out["records"][0]["error"].startswith("GeometryError")
+    with pytest.raises(ValueError):
+        energy_comparison_sweep(cfg, u, mesh, [("bug", failing(ValueError))],
+                                amplitudes=(0.01,))
