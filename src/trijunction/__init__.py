@@ -16,7 +16,7 @@ from .crackmesh import (CrackMesh, generate_crack_mesh, mark_admissible_subdomai
                         DIRICHLET, NEU_OUTER, NEU_CRACK)
 from .fem import (CrackField, Operator, SectorConstants, solve_equilibrium,
                   solve_transported, solve_shape_derivative, solve_vphi,
-                  dirichlet_energy, refine_uniform, prolong,
+                  refine_uniform, prolong,
                   assemble_boundary_load)
 from .hspace import JunctionScalar, SmoothJunctionScalar, junction_basis, combine
 from .variation import (VelocityPair, CurveVelocity, VariationReport, ms_energy,

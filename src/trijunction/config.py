@@ -119,9 +119,6 @@ class TripleJunctionConfig:
             out |= (t >= a - 1e-12) & (t <= b + 1e-12)
         return out
 
-    def contact_point(self, i):
-        return self.arms[i].point(1.0)
-
     def boundary_curvature_at_contact(self, i):
         return float(self.outer.curvature(self.contact_params[i]))
 
@@ -229,17 +226,21 @@ def bent_arm_config(base="disk", bend=0.12, mu=0.25, **kw):
                                 cfg.dirichlet_arcs, cfg.mu)
 
 
+def mapped_arms(config, map_fn, n_samples):
+    """The images of the arms under map_fn, each refit through n_samples
+    uniformly spaced parameter samples."""
+    ss = np.linspace(0.0, 1.0, n_samples)
+    return [ParamCurve.from_samples(np.atleast_2d(map_fn(arm.point(ss))), flag=arm.flag)
+            for arm in config.arms]
+
+
 def transported_config(config, map_fn, n_samples=400, validate=True):
     """Configuration with arms (and junction) moved by an admissible map.
 
     The outer boundary and the Dirichlet arcs are unchanged (admissible maps
     send the boundary to itself and fix the Dirichlet portion).
     """
-    ss = np.linspace(0.0, 1.0, n_samples)
-    arms = []
-    for arm in config.arms:
-        pts = np.atleast_2d(map_fn(arm.point(ss)))
-        arms.append(ParamCurve(pts, flag=arm.flag))
+    arms = mapped_arms(config, map_fn, n_samples)
     x0 = np.atleast_2d(map_fn(config.junction[None, :]))[0]
     return TripleJunctionConfig(x0, arms, config.outer, config.dirichlet_arcs,
                                 config.mu, config.tol_tangency, validate=validate)

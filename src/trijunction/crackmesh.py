@@ -72,9 +72,6 @@ class CrackMesh:
     def n_tris(self):
         return self.tris.shape[0]
 
-    def corner_coords(self, t):
-        return self.vx[self.tris[t, :3]]
-
     def copy(self):
         return CrackMesh(self.vx.copy(), self.tris, self.sector, self.n_vertex,
                          self.crack, self.junction_nodes, self.bdry,
@@ -100,22 +97,12 @@ class CrackMesh:
         a = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
         return bool(np.all(a > 0))
 
-    def nodes_of_sector(self, s):
-        return np.unique(self.tris[self.sector == s])
-
     def dirichlet_nodes(self):
         out = set()
         for (na, mid, nb, tag, *_rest) in self.bdry:
             if tag == DIRICHLET:
                 out.update((na, mid, nb))
         return np.array(sorted(out), dtype=int)
-
-    def crack_pairs(self):
-        """(plus_node, minus_node) pairs over all arms, junction triplet aside."""
-        pairs = []
-        for arm in self.crack:
-            pairs.extend(zip(arm["plus"], arm["minus"]))
-        return pairs
 
     def morph(self, map_fn, check_quality=True):
         """New mesh with nodes moved by an (admissible) map; combinatorics kept."""

@@ -29,14 +29,6 @@ class Diffeo:
                    bbox=bbox, label="identity")
 
     @classmethod
-    def from_field(cls, field, scale=1.0, bbox=None, label="field"):
-        """Phi = Id + scale * X for a VectorField-like object."""
-        jac = None
-        if hasattr(field, "jac"):
-            jac = lambda P: scale * field.jac(P)
-        return cls(lambda P: scale * np.atleast_2d(field(P)), jac, bbox=bbox, label=label)
-
-    @classmethod
     def on_grid(cls, disp_fn, bbox, n=96, label="grid"):
         """Sample a displacement onto a grid and represent it bicubically."""
         (x0, x1), (y0, y1) = bbox

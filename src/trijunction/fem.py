@@ -469,12 +469,6 @@ def solve_transported(config, mesh_t, u_base):
     return CrackField(mesh_t, u, op)
 
 
-def _h1u_pins(mesh):
-    if mesh.vertex_mask is None:
-        raise SolveError("mesh carries no admissible-subdomain mask")
-    return np.union1d(np.where(~mesh.vertex_mask)[0], mesh.dirichlet_nodes())
-
-
 class CrackLoadAssembler:
     """Precomputed crack-edge quadrature for many right-hand sides.
 
@@ -546,7 +540,7 @@ def solve_crack_loaded(mesh, u, assembler, q_eval):
     op = mesh._operator if hasattr(mesh, "_operator") else Operator(mesh)
     mesh._operator = op
     b = assembler.rhs(q_eval)
-    pinned = _h1u_pins(mesh)
+    pinned = transported_pin_set(mesh)
     v = op.solve_pinned(pinned, np.zeros(pinned.size), b.reshape(-1, 1))
     fld = CrackField(mesh, v[:, 0], op)
     fld.endpoint_report = assembler.endpoint_report()
@@ -557,20 +551,12 @@ def solve_shape_derivative(config, u, V, curves=None, endpoint_policy="auto",
                            tangency_tol=1e-6, assembler=None):
     """Transported-solution derivative: crack data div_G((X.nu) grad_G u).
 
-    V is either a velocity protocol object (normal_speed method) or a plain
-    vectorized callable X(P).
+    V is a velocity object: VelocityPair or CurveVelocity, anything with a
+    normal_speed(arm_idx, s, pos, nu) method.  When it also carries a bulk
+    field X, X must be tangent to the outer boundary.
     """
     mesh = u.mesh
     arms = curves if curves is not None else config.arms
-    if callable(V) and not hasattr(V, "normal_speed"):
-        velocity = V
-
-        class _Wrap:
-            def normal_speed(self, arm_idx, s, pos, nu):
-                return np.sum(np.atleast_2d(velocity(pos)) * nu, axis=1)
-
-            X = staticmethod(velocity)
-        V = _Wrap()
     if hasattr(V, "X") and callable(getattr(V, "X", None)):
         tb = np.linspace(0.0, 1.0, 200, endpoint=False)
         Pb = config.outer.point(tb)
@@ -614,10 +600,6 @@ def assemble_boundary_load(mesh, g, tags=(NEU_OUTER,), order=8):
         vals = np.asarray(g(pos), float)
         b[ids] += (wg * speed * vals) @ N
     return b
-
-
-def dirichlet_energy(field, region=None, subdivide=0):
-    return field.energy(region, subdivide)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from .errors import SolveError, ConfigError
 from .curves import gauss_legendre, ParamCurve
 from .config import transported_config
 from .crackmesh import mark_admissible_subdomain
-from .fem import (Operator, CrackField, CrackLoadAssembler, _h1u_pins,
+from .fem import (Operator, CrackField, CrackLoadAssembler, transported_pin_set,
                   solve_transported, solve_equilibrium)
 from .hspace import JunctionScalar, junction_basis, combine
 from .variation import quadratic_form, is_critical, ms_energy
@@ -28,10 +28,6 @@ class StabilityReport:
         self.verdict = verdict
         self.margin = margin
         self.basis_n = basis_n
-
-    @property
-    def coercivity_constant(self):
-        return self.lam_min
 
     def eigvec_min(self):
         return self.eigvecs[:, 0]
@@ -112,7 +108,7 @@ def assemble_stability_problem(config, u, basis, curves=None, mesh=None,
     B = np.empty((mesh.n_nodes, nb))
     for j, phi in enumerate(basis):
         B[:, j] = assembler.rhs(lambda arm_idx, s, pos: phi.eval(arm_idx, s))
-    pinned = _h1u_pins(mesh)
+    pinned = transported_pin_set(mesh)
     V = op.solve_pinned(pinned, np.zeros((pinned.size, nb)), B)
     E = V.T @ (op.A @ V)                      # int grad v_i . grad v_j
     E = 0.5 * (E + E.T)

@@ -124,3 +124,34 @@ def test_discretization_tolerance_fallback_is_logged(disk, monkeypatch, caplog):
     monkeypatch.setattr(trijunction.fem, "refine_uniform", refine(ValueError))
     with pytest.raises(ValueError):
         _discretization_tolerance(cfg, mesh, u)
+
+
+def test_benchmark_trace_targets_resolve():
+    """perfbench's traced mode wraps package functions by module and name:
+    each must still exist, and uninstall must put every original back."""
+    import importlib.util
+    import trijunction  # noqa: F401  (the tracer patches loaded modules)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(root, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = []
+    for _, modname, path, _, _ in spans.TARGETS:
+        owner = sys.modules["trijunction." + modname]
+        *cls, attr = path.split(".")
+        if cls:
+            owner = getattr(owner, cls[0])
+        targets.append((owner, attr, owner.__dict__[attr]))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        installed = list(tracer._undo)
+        wrapped = [owner.__dict__[attr] is not orig for owner, attr, orig in targets]
+    finally:
+        tracer.uninstall()
+    assert all(wrapped)
+    assert len(installed) > len(targets)
+    assert not tracer._undo
+    for owner, attr, orig in installed:
+        assert owner.__dict__[attr] is orig

@@ -116,6 +116,36 @@ def test_extend_to_bulk(trilobe):
     far = cfg.arms[1].point(np.linspace(0.3, 0.9, 20)) \
         + 0.05 * cfg.arms[1].normal(np.linspace(0.3, 0.9, 20))
     assert np.max(np.abs(ext.displacement(far))) < 1e-12
+    # data with a common value at x0, and boundary-tangent values at the
+    # contacts that the boundary data matches: exact on every arm, and on the
+    # outer boundary where only the contact-corner blend acts
+    c = 3e-3 * np.array([0.6, 0.8])
+    amps = [1e-3, -2e-3, 1.5e-3]
+    ends = [a * cfg.outer.tangent(t) for a, t in zip(amps, cfg.contact_params)]
+
+    def arm_data(i):
+        def f(s):
+            s = np.atleast_1d(np.asarray(s, float))
+            return ((1 - s)[:, None] * c + s[:, None] * ends[i]
+                    + (1e-3 * np.sin(np.pi * s))[:, None] * cfg.arms[i].normal(s))
+        return f
+
+    def bdry(t):
+        t = np.atleast_1d(np.asarray(t, float))
+        amp = np.zeros(t.size)
+        for a, ti in zip(amps, cfg.contact_params):
+            amp += a * chi(((t - ti + 0.5) % 1.0 - 0.5) ** 2 / 0.02 ** 2)
+        return amp[:, None] * cfg.outer.tangent(t)
+    fns = [arm_data(i) for i in range(3)]
+    ext = extend_to_bulk(cfg, fns, bdry)
+    for i, arm in enumerate(cfg.arms):
+        assert np.max(np.abs(ext.displacement(arm.point(ss)) - fns[i](ss))) < 1e-12
+    tb = np.linspace(0.0, 1.0, 4001)
+    for i, arm in enumerate(cfg.arms):
+        near = tb[np.linalg.norm(cfg.outer.point(tb) - arm.point(1.0), axis=1)
+                  < 0.6 * ext.extension.delta_c[i]]
+        assert near.size > 100
+        assert np.max(np.abs(ext.displacement(cfg.outer.point(near)) - bdry(near))) < 1e-12
 
 
 def test_energy_at_map_identity(disk):
@@ -123,6 +153,14 @@ def test_energy_at_map_identity(disk):
     e0 = energy_at_map(cfg, u, mesh, lambda P: P)[0]
     from trijunction import ms_energy
     assert abs(e0 - ms_energy(u, cfg, "U")[0]) < 1e-9
+
+
+def _assert_bulk_map_matches_arms(fam, cfg):
+    """The bulk map at time 1 carries each arm's samples onto the family's
+    time-1 positions."""
+    mp = fam.map_at(1.0)
+    for i, arm in enumerate(cfg.arms):
+        assert np.max(np.abs(mp(arm.point(fam.s_grid)) - fam.pos[i, -1])) < 1e-12
 
 
 @pytest.mark.slow
@@ -143,6 +181,7 @@ def test_connecting_family_normal_bump(trilobe):
     assert np.isfinite(est["C2"])
     assert fam.diag["hausdorff_final"] < 1e-6
     assert max(fam.c2_norm(t) for t in fam.times) < 0.5
+    _assert_bulk_map_matches_arms(fam, cfg)
     # velocity consistency: stored X_t vs time differences of positions
     k = len(fam.times) // 2
     dt = fam.times[1] - fam.times[0]
@@ -166,6 +205,7 @@ def test_connecting_family_worst_case(trilobe):
     assert np.isfinite(est["C1"]) and np.isfinite(est["C2"])
     assert fam.diag["hausdorff_final"] < 1e-6
     assert max(fam.c2_norm(t) for t in fam.times) < 0.5
+    _assert_bulk_map_matches_arms(fam, cfg)
     # junction-zone acceleration vanishes (affine near-field maps)
     k = len(fam.times) - 1
     near = np.linalg.norm(cfg.arms[0].point(fam.s_grid) - cfg.junction,
