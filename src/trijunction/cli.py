@@ -5,6 +5,7 @@ Exit codes: 0 ok, 1 input error, 2 solver/mesh error, 3 assertion failure.
 """
 
 import argparse
+import hashlib
 import os
 import sys
 import logging
@@ -118,10 +119,20 @@ def _random_admissible_fields(config, rng, n_fields, basis_n=33):
     return out
 
 
+def _file_sha256(path):
+    """Content hash of the config file, so that reports of runs given the same
+    config under different paths can be compared; 'none' without a config."""
+    if not path:
+        return "none"
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
 class Report:
     def __init__(self, scenario, title):
         self.lines = ["trijunction %s report" % title,
                       "config : %s" % scenario.config_path,
+                      "config_sha256 : %s" % _file_sha256(scenario.config_path),
                       "h = %g, n = %d, seed = %d" % (scenario.h, scenario.n,
                                                      scenario.seed)]
         self.scenario = scenario

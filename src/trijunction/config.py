@@ -226,12 +226,27 @@ def bent_arm_config(base="disk", bend=0.12, mu=0.25, **kw):
                                 cfg.dirichlet_arcs, cfg.mu)
 
 
+def map_with_arms(config, map_fn, n_samples, P):
+    """(map_fn(P), mapped arms) from one map_fn call on P and the arm samples.
+
+    Each arm's image is refit through n_samples uniformly spaced parameter
+    samples. An rk4_flow map then runs one flow, whose cost scales with the
+    number of these points that move.
+    """
+    ss = np.linspace(0.0, 1.0, n_samples)
+    n = P.shape[0]
+    img = np.atleast_2d(map_fn(np.vstack([P] + [arm.point(ss) for arm in config.arms])))
+    arms = [ParamCurve.from_samples(img[n + i * n_samples:n + (i + 1) * n_samples],
+                                    flag=arm.flag)
+            for i, arm in enumerate(config.arms)]
+    return img[:n], arms
+
+
 def mapped_arms(config, map_fn, n_samples):
     """The images of the arms under map_fn, each refit through n_samples
-    uniformly spaced parameter samples."""
-    ss = np.linspace(0.0, 1.0, n_samples)
-    return [ParamCurve.from_samples(np.atleast_2d(map_fn(arm.point(ss))), flag=arm.flag)
-            for arm in config.arms]
+    uniformly spaced parameter samples. All samples go through one map_fn
+    call, so an rk4_flow map costs in proportion to the samples that move."""
+    return map_with_arms(config, map_fn, n_samples, np.empty((0, 2)))[1]
 
 
 def transported_config(config, map_fn, n_samples=400, validate=True):
@@ -240,9 +255,8 @@ def transported_config(config, map_fn, n_samples=400, validate=True):
     The outer boundary and the Dirichlet arcs are unchanged (admissible maps
     send the boundary to itself and fix the Dirichlet portion).
     """
-    arms = mapped_arms(config, map_fn, n_samples)
-    x0 = np.atleast_2d(map_fn(config.junction[None, :]))[0]
-    return TripleJunctionConfig(x0, arms, config.outer, config.dirichlet_arcs,
+    x0, arms = map_with_arms(config, map_fn, n_samples, config.junction[None, :])
+    return TripleJunctionConfig(x0[0], arms, config.outer, config.dirichlet_arcs,
                                 config.mu, config.tol_tangency, validate=validate)
 
 

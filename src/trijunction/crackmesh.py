@@ -106,7 +106,10 @@ class CrackMesh:
 
     def morph(self, map_fn, check_quality=True):
         """New mesh with nodes moved by an (admissible) map; combinatorics kept."""
-        vx = np.atleast_2d(map_fn(self.vx))
+        return self.with_nodes(np.atleast_2d(map_fn(self.vx)), check_quality)
+
+    def with_nodes(self, vx, check_quality=True):
+        """New mesh with the node positions vx; combinatorics kept."""
         out = CrackMesh(vx, self.tris, self.sector, self.n_vertex, self.crack,
                         self.junction_nodes, self.bdry, self.outer_param, self.h,
                         self.vertex_mask, self.elem_mask, self.mu)

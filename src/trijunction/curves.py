@@ -1,15 +1,17 @@
 """Oriented planar arcs with arc-length cubic-spline parametrization.
 
 A ParamCurve is the single geometric primitive of the package: an oriented
-C^2 arc gamma : [0,1] -> R^2 stored as a pair of cubic splines in a
+C^2 arc gamma : [0,1] -> R^2 stored as one 2-column cubic spline in a
 parameter proportional to arc length.  The unit normal is the +90 degree
 (counterclockwise) rotation of the unit tangent times an orientation flag,
 and the curvature H is div(nu) for the signed-distance extension of nu, so
 that a circle with outward normal has H = +1/R.
 """
 
+from functools import cached_property
+
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import BPoly, CubicSpline
 from scipy.spatial import cKDTree
 
 from .errors import GeometryError, ProjectionError
@@ -23,6 +25,12 @@ def gauss_legendre(n):
         x, w = np.polynomial.legendre.leggauss(n)
         _GAUSS_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
     return _GAUSS_CACHE[n]
+
+
+def _speed(spl, s):
+    """|gamma'(s)| of a 2-column spline."""
+    v = spl(s, 1)
+    return np.hypot(v[..., 0], v[..., 1])
 
 
 def rot90(v):
@@ -87,52 +95,48 @@ class ParamCurve:
         t /= t[-1]
         if np.any(np.diff(t) <= 0):
             raise GeometryError("repeated interpolation points")
-        sx, sy = self._fit(t, pts[:, 0], pts[:, 1], end_tangents, chord)
+        spl = self._fit(t, pts, end_tangents, chord)
         for _ in range(passes):
-            sx, sy, t = self._arclength_pass(sx, sy, n, end_tangents)
-        self._sx, self._sy = sx, sy
+            spl, t = self._arclength_pass(spl, n, end_tangents)
+        self._spl = spl
         self.knots = t
-        self.length = self._measure_length(sx, sy)
-        if np.min(np.hypot(sx(t, 1), sy(t, 1))) < 1e-10 * self.length:
+        self.length = self._measure_length(spl)
+        if np.min(_speed(spl, t)) < 1e-10 * self.length:
             raise GeometryError("degenerate parametrization: |gamma'| ~ 0")
         # scan points that seed the closest-point Newton iteration
         self._scan = t if len(t) >= 128 else np.linspace(0.0, 1.0, 256)
         self._scan_tree = cKDTree(self.point(self._scan))
 
-    def _fit(self, t, px, py, end_tangents, scale):
+    def _fit(self, t, pts, end_tangents, scale):
+        """One cubic spline through the (k, 2) points, both coordinates at once."""
         if self.closed:
-            return (CubicSpline(t, px, bc_type="periodic"),
-                    CubicSpline(t, py, bc_type="periodic"))
+            return CubicSpline(t, pts, bc_type="periodic")
         if end_tangents is None:
-            return (CubicSpline(t, px, bc_type="natural"),
-                    CubicSpline(t, py, bc_type="natural"))
+            return CubicSpline(t, pts, bc_type="natural")
         d0 = np.asarray(end_tangents[0], float)
         d1 = np.asarray(end_tangents[1], float)
         d0 = d0 / np.linalg.norm(d0) * scale
         d1 = d1 / np.linalg.norm(d1) * scale
-        return (CubicSpline(t, px, bc_type=((1, d0[0]), (1, d1[0]))),
-                CubicSpline(t, py, bc_type=((1, d0[1]), (1, d1[1]))))
+        return CubicSpline(t, pts, bc_type=((1, d0), (1, d1)))
 
-    def _arclength_pass(self, sx, sy, n, end_tangents):
+    def _arclength_pass(self, spl, n, end_tangents):
         tf = np.linspace(0.0, 1.0, max(8 * n, 1024))
-        sp = np.hypot(sx(tf, 1), sy(tf, 1))
+        sp = _speed(spl, tf)
         arc = np.concatenate([[0.0], np.cumsum(0.5 * (sp[1:] + sp[:-1]) * np.diff(tf))])
         total = arc[-1]
         arc /= total
         # parameters equi-distributed in arc length
         t_new = np.interp(np.linspace(0.0, 1.0, n), arc, tf)
-        px, py = sx(t_new), sy(t_new)
+        pts = spl(t_new)
         u = np.linspace(0.0, 1.0, n)
         if self.closed:
-            px[-1], py[-1] = px[0], py[0]
-        sx2, sy2 = self._fit(u, px, py, end_tangents, total)
-        return sx2, sy2, u
+            pts[-1] = pts[0]
+        return self._fit(u, pts, end_tangents, total), u
 
     @staticmethod
-    def _measure_length(sx, sy, n=4096):
+    def _measure_length(spl, n=4096):
         tf = np.linspace(0.0, 1.0, n)
-        sp = np.hypot(sx(tf, 1), sy(tf, 1))
-        return float(np.trapezoid(sp, tf))
+        return float(np.trapezoid(_speed(spl, tf), tf))
 
     # ------------------------------------------------------------------
     # constructors for standard shapes
@@ -170,16 +174,13 @@ class ParamCurve:
     # evaluation
     # ------------------------------------------------------------------
     def point(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.stack([self._sx(s), self._sy(s)], axis=-1)
+        return self._spl(np.asarray(s, dtype=float))
 
     def velocity(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.stack([self._sx(s, 1), self._sy(s, 1)], axis=-1)
+        return self._spl(np.asarray(s, dtype=float), 1)
 
     def accel(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.stack([self._sx(s, 2), self._sy(s, 2)], axis=-1)
+        return self._spl(np.asarray(s, dtype=float), 2)
 
     def tangent(self, s):
         v = self.velocity(s)
@@ -204,8 +205,7 @@ class ParamCurve:
         out = np.empty_like(s)
         for i, si in enumerate(s):
             tf = np.linspace(0.0, si, 256)
-            sp = np.hypot(self._sx(tf, 1), self._sy(tf, 1))
-            out[i] = np.trapezoid(sp, tf)
+            out[i] = np.trapezoid(_speed(self._spl, tf), tf)
         return out if out.size > 1 else float(out[0])
 
     def endpoints(self):
@@ -240,6 +240,21 @@ class ParamCurve:
             self._reach = float(min(1.0 / hmax, 0.5 * self_d))
         return self._reach
 
+    @cached_property
+    def _box(self):
+        """(lo, hi) corners of a box holding the arc: each cubic piece lies in
+        the convex hull of its Bernstein coefficients."""
+        c = BPoly.from_power_basis(self._spl).c
+        pad = 1e-9 * (1.0 + np.max(np.abs(c)))
+        return c.min(axis=(0, 1)) - pad, c.max(axis=(0, 1)) + pad
+
+    def near_box(self, x, r):
+        """False where x is provably farther than r from the arc (outside
+        its bounding box grown by r); a cheap test that needs no projection."""
+        lo, hi = self._box
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return np.all((x >= lo - r) & (x <= hi + r), axis=1)
+
     def _nearest_scan(self, x):
         """Parameter of the scan point nearest to each x.
 
@@ -253,11 +268,20 @@ class ParamCurve:
         xo = x[ok]
         dist, near = tree.query(xo, k=2)
         best = near[:, 0]
-        # a second scan point within rounding of the nearest: resolve exactly
-        for j in np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + 1e-9)):
-            cand = np.sort(tree.query_ball_point(xo[j], dist[j, 0] * (1.0 + 1e-9)))
-            d2 = np.sum((xo[j] - tree.data[cand]) ** 2, axis=-1)
-            best[j] = cand[np.argmin(d2)]
+        # a second scan point within rounding of the nearest: compare the
+        # squared distances of the candidates among the 8 nearest exactly
+        tie = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + 1e-9))
+        if tie.size:
+            r = dist[tie, 0] * (1.0 + 1e-9)
+            dist8, cand = tree.query(xo[tie], k=8)
+            d2 = np.sum((xo[tie, None, :] - tree.data[cand]) ** 2, axis=-1)
+            d2[dist8 > r[:, None]] = np.inf
+            lowest = np.where(d2 == d2.min(axis=1, keepdims=True), cand, cand.max() + 1)
+            best[tie] = lowest.min(axis=1)
+            # all 8 within the radius: more candidates may lie beyond them
+            for j, rj in zip(tie[dist8[:, -1] <= r], r[dist8[:, -1] <= r]):
+                ball = np.sort(tree.query_ball_point(xo[j], rj))
+                best[j] = ball[np.argmin(np.sum((xo[j] - tree.data[ball]) ** 2, axis=-1))]
         idx[ok] = best
         return self._scan[idx]
 
@@ -272,6 +296,8 @@ class ParamCurve:
         changes no result.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[0] == 0:
+            return np.empty(0), np.empty(0), np.empty(0, dtype=bool)
         s = self._nearest_scan(x)
         active = np.arange(x.shape[0])
         for _ in range(30):

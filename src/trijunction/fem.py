@@ -89,10 +89,15 @@ def _quad_points(subdivide=0):
 
 
 class Assembly:
-    """Element tables reused by the stiffness matrix and energy quadratures."""
+    """Element tables reused by the stiffness matrix and energy quadratures.
+
+    It keeps the connectivity, not the mesh: an operator cached on its mesh
+    then forms no reference cycle, and is freed with the mesh.
+    """
 
     def __init__(self, mesh, subdivide=0):
-        self.mesh = mesh
+        self.tris = mesh.tris
+        self.n_nodes = mesh.n_nodes
         pts, w = _quad_points(subdivide)
         N, dN = _basis_tables(pts)     # (nq, 6), (nq, 6, 2)
         X = mesh.vx[mesh.tris]         # (nt, 6, 2)
@@ -114,16 +119,16 @@ class Assembly:
 
     def stiffness(self):
         K = np.einsum("nqad,nqbd,nq->nab", self.gradN, self.gradN, self.wdet)
-        t = self.mesh.tris
+        t = self.tris
         rows = np.repeat(t, 6, axis=1).ravel()
         cols = np.tile(t, (1, 6)).ravel()
         A = sp.coo_matrix((K.ravel(), (rows, cols)),
-                          shape=(self.mesh.n_nodes, self.mesh.n_nodes))
+                          shape=(self.n_nodes, self.n_nodes))
         return A.tocsr()
 
     def energy(self, values, elem_select=None):
         """int |grad u_h|^2 over selected elements (exact for the P2 space)."""
-        g = np.einsum("nqad,na->nqd", self.gradN, values[self.mesh.tris])
+        g = np.einsum("nqad,na->nqd", self.gradN, values[self.tris])
         e = np.sum(np.sum(g * g, axis=-1) * self.wdet, axis=1)
         if elem_select is None:
             return float(np.sum(e))
@@ -138,7 +143,7 @@ class Assembly:
 
     def interpolate(self, values):
         """Nodal field at the quadrature points, shape (nt, nq)."""
-        return np.einsum("qa,na->nq", self.N, values[self.mesh.tris])
+        return np.einsum("qa,na->nq", self.N, values[self.tris])
 
     def l2_error(self, values, exact_fn):
         ex = np.asarray(exact_fn(self.qpoints.reshape(-1, 2)), float)
@@ -147,25 +152,24 @@ class Assembly:
 
 
 class Operator:
-    """Stiffness operator with cached sparse factorizations per pin set."""
+    """Stiffness operator with cached sparse factorizations per pin set.
+
+    Like its Assembly it keeps no reference to the mesh (see Assembly).
+    """
 
     def __init__(self, mesh):
-        self.mesh = mesh
+        self.n_nodes = mesh.n_nodes
         self.asm = Assembly(mesh)
         self.A = self.asm.stiffness()
         self._factors = {}
-        self.node_sector = self._node_sectors()
-
-    def _node_sectors(self):
-        ns = -np.ones(self.mesh.n_nodes, dtype=int)
+        self.node_sector = -np.ones(mesh.n_nodes, dtype=int)
         for s in range(3):
-            ns[np.unique(self.mesh.tris[self.mesh.sector == s])] = s
-        return ns
+            self.node_sector[np.unique(mesh.tris[mesh.sector == s])] = s
 
     def _factor(self, pinned):
         key = pinned.tobytes()
         if key not in self._factors:
-            free = np.setdiff1d(np.arange(self.mesh.n_nodes), pinned, assume_unique=False)
+            free = np.setdiff1d(np.arange(self.n_nodes), pinned, assume_unique=False)
             A_ff = self.A[free][:, free].tocsc()
             try:
                 lu = spla.splu(A_ff)
@@ -183,7 +187,7 @@ class Operator:
             if not np.any(np.isin(np.where(sec_nodes)[0], pinned)):
                 raise SolveError("singular system: sector %d has no pinned node" % s)
         free, lu = self._factor(pinned)
-        n = self.mesh.n_nodes
+        n = self.n_nodes
         multi = rhs is not None and np.ndim(rhs) == 2
         ncol = rhs.shape[1] if multi else 1
         u = np.zeros((n, ncol))
@@ -415,8 +419,7 @@ class SectorConstants:
         return self.c[sectors]
 
 
-def _dirichlet_values(op, data):
-    mesh = op.mesh
+def _dirichlet_values(mesh, op, data):
     nodes = mesh.dirichlet_nodes()
     if nodes.size == 0:
         raise SolveError("empty Dirichlet set")
@@ -432,7 +435,7 @@ def solve_equilibrium(config, mesh, dirichlet_data, neumann_load=None):
     """Harmonic field with the given Dirichlet data, natural elsewhere."""
     op = mesh._operator if hasattr(mesh, "_operator") else Operator(mesh)
     mesh._operator = op
-    nodes, vals = _dirichlet_values(op, dirichlet_data)
+    nodes, vals = _dirichlet_values(mesh, op, dirichlet_data)
     rhs = None
     if neumann_load is not None:
         rhs = assemble_boundary_load(mesh, neumann_load)

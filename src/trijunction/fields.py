@@ -81,17 +81,30 @@ class VectorField:
 
 
 def rk4_flow(field, P, t, substeps=8):
-    """Flow map of the autonomous field at time t (possibly negative)."""
+    """Flow map of the autonomous field at time t (possibly negative).
+
+    The field is evaluated once on all points. A point where it is exactly
+    zero is a fixed point of every RK4 stage, so only the points with a
+    non-zero first velocity are stepped: after the first evaluation the cost
+    scales with the number of moving points, not with the size of P.
+    """
     P = np.atleast_2d(np.asarray(P, float)).copy()
     if t == 0.0:
         return P
+    k1 = np.broadcast_to(field(P), P.shape)
+    move = np.flatnonzero(np.any(k1 != 0.0, axis=1))
+    if move.size == 0:
+        return P
+    Q, k1 = P[move], k1[move]
     dt = t / substeps
-    for _ in range(substeps):
-        k1 = field(P)
-        k2 = field(P + 0.5 * dt * k1)
-        k3 = field(P + 0.5 * dt * k2)
-        k4 = field(P + dt * k3)
-        P = P + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    for step in range(substeps):
+        if step:
+            k1 = field(Q)
+        k2 = field(Q + 0.5 * dt * k1)
+        k3 = field(Q + 0.5 * dt * k2)
+        k4 = field(Q + dt * k3)
+        Q = Q + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    P[move] = Q
     return P
 
 
@@ -128,6 +141,11 @@ def corner_coordinates(curve_a, curve_b, corner, P, sa0=0.0, sb0=0.0,
     versa; points on curve_a have t = corner parameter and s the arc
     parameter (and symmetrically), which is what makes the boolean-sum
     corner interpolant exact on both curves.
+
+    Each point leaves the iteration after the step whose updates of s and t
+    are both below 1e-14 (at most `iters` steps), so its result does not
+    depend on the other points in P.  Later steps would only cycle within
+    ulps of the root.
     """
     P = np.atleast_2d(np.asarray(P, float))
     corner = np.asarray(corner, float)
@@ -135,16 +153,22 @@ def corner_coordinates(curve_a, curve_b, corner, P, sa0=0.0, sb0=0.0,
     t = np.full(P.shape[0], float(sb0))
     lo_a, hi_a = sa0 - clamp, sa0 + clamp
     lo_b, hi_b = sb0 - clamp, sb0 + clamp
+    active = np.arange(P.shape[0])
     for _ in range(iters):
-        F = curve_a.point(s) + curve_b.point(t) - corner - P
-        da = curve_a.velocity(s)
-        db = curve_b.velocity(t)
+        sa, ta = s[active], t[active]
+        F = curve_a.point(sa) + curve_b.point(ta) - corner - P[active]
+        da = curve_a.velocity(sa)
+        db = curve_b.velocity(ta)
         det = da[:, 0] * db[:, 1] - da[:, 1] * db[:, 0]
         det = np.where(np.abs(det) < 1e-30, 1e-30, det)
         ds = -(db[:, 1] * F[:, 0] - db[:, 0] * F[:, 1]) / det
         dt = -(-da[:, 1] * F[:, 0] + da[:, 0] * F[:, 1]) / det
-        s = np.clip(s + ds, lo_a, hi_a)
-        t = np.clip(t + dt, lo_b, hi_b)
+        s_new = np.clip(sa + ds, lo_a, hi_a)
+        t_new = np.clip(ta + dt, lo_b, hi_b)
+        s[active], t[active] = s_new, t_new
+        active = active[(np.abs(s_new - sa) >= 1e-14) | (np.abs(t_new - ta) >= 1e-14)]
+        if active.size == 0:
+            break
     return s, t
 
 

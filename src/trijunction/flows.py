@@ -12,9 +12,9 @@ from scipy.interpolate import CubicSpline
 
 from .errors import (AdmissibilityError, GeometryError, MeshError, SolveError,
                      TrijunctionError)
-from .curves import ParamCurve
+from .curves import ParamCurve, rot90
 from .fields import VectorField, smoothstep, ramp, radial_bump, rk4_flow, CornerBlend
-from .config import transported_config, mapped_arms
+from .config import transported_config, mapped_arms, map_with_arms
 from .fem import solve_transported
 from .variation import (VelocityPair, CurveVelocity, ms_energy, second_variation,
                         quadratic_form, normal_speed_scalar)
@@ -186,10 +186,15 @@ class _TubeCornerBlend:
         arms = self.config.arms
         r0 = np.linalg.norm(P - self.x0, axis=1)
         eta0 = ramp(r0, 0.55 * self.delta0, self.delta0)
-        s_arm = np.stack([arm.project(P)[0] for arm in arms], axis=1)
-        d_arm = np.stack([np.linalg.norm(P - arm.point(s_arm[:, i]), axis=-1)
-                          for i, arm in enumerate(arms)], axis=1)
         jzone = eta0 > 0.0
+        # projections onto arm i are read in the junction zone and where
+        # d_arm < w_tube; elsewhere d_arm = inf gives the same zero weight
+        s_arm = np.full((P.shape[0], 3), np.nan)
+        d_arm = np.full((P.shape[0], 3), np.inf)
+        for i, arm in enumerate(arms):
+            near = jzone | arm.near_box(P, self.w_tube)
+            s_arm[near, i] = arm.project(P[near])[0]
+            d_arm[near, i] = np.linalg.norm(P[near] - arm.point(s_arm[near, i]), axis=-1)
         if np.any(jzone):
             out[jzone] += eta0[jzone, None] * self._junction(
                 P[jzone], r0[jzone], s_arm[jzone], d_arm[jzone])
@@ -239,7 +244,8 @@ class TestField(_TubeCornerBlend):
         ph = self.phi.eval(i, s)
         bb = (self.b0[i] + self.bp[i] * s * L) * chi((s * L) ** 2
                                                      / (0.8 * self.delta0) ** 2)
-        return ph[:, None] * arm.normal(s) + bb[:, None] * arm.tangent(s)
+        tau = arm.tangent(s)
+        return ph[:, None] * (arm.flag * rot90(tau)) + bb[:, None] * tau
 
     def _bdry_field(self, i, t):
         """Boundary-tangent field near contact i, equal to Y_i(1) there."""
@@ -287,10 +293,9 @@ def build_test_field(config, phi):
 
 def descent_energy_delta(config, u, mesh, V, t):
     """MS energy change along the flow of V.X at time t (one re-solve)."""
-    mp = lambda P: rk4_flow(V.X, P, t)
-    mesh_t = mesh.morph(mp)
+    vx_t, arms_t = map_with_arms(config, lambda P: rk4_flow(V.X, P, t), 300, mesh.vx)
+    mesh_t = mesh.with_nodes(vx_t)
     u_t = solve_transported(config, mesh_t, u)
-    arms_t = mapped_arms(config, mp, 300)
     e_t = ms_energy(u_t, config, "U", curves=arms_t)[0]
     e_0 = ms_energy(u, config, "U")[0]
     return float(e_t - e_0)
@@ -965,14 +970,15 @@ def verify_flow_estimates(family):
 def energy_at_map(config, u, mesh, map_fn):
     """(MS value, transported solution, transported mesh, refit arms).
 
-    The transported mesh is the morph of the base mesh (keeps everything
+    The mesh nodes and the arm samples go through one map_fn call. The
+    transported mesh is the morph of the base mesh (keeps everything
     outside U bitwise identical); for large deformations that degrade the
     morphed elements, a fresh mesh of the transported configuration is
     generated instead and the constraint values are interpolated.
     """
-    arms_t = mapped_arms(config, map_fn, 320)
+    vx_t, arms_t = map_with_arms(config, map_fn, 320, mesh.vx)
     try:
-        mesh_t = mesh.morph(map_fn)
+        mesh_t = mesh.with_nodes(vx_t)
         u_t = solve_transported(config, mesh_t, u)
     except (MeshError, SolveError):
         from .crackmesh import generate_crack_mesh, mark_admissible_subdomain

@@ -68,17 +68,28 @@ def test_identities_scenario(tmp_path):
 
 
 def test_stability_scenario_and_determinism(tmp_path, cfg_files):
+    """Two runs on the same config under two paths write the same files; their
+    reports differ only in the config path and carry the config's hash."""
+    import hashlib
+    import shutil
     out1 = tmp_path / "s1"
     out2 = tmp_path / "s2"
-    for out in (out1, out2):
+    (tmp_path / "copy").mkdir()
+    copy = shutil.copy(cfg_files / "disk.cfg", tmp_path / "copy" / "disk.cfg")
+    for out, path in ((out1, cfg_files / "disk.cfg"), (out2, copy)):
         code = main(["--analysis", "stability", "--config",
-                     str(cfg_files / "disk.cfg"), "--h", "0.06", "--n", "16",
+                     str(path), "--h", "0.06", "--n", "16",
                      "--seed", "3", "--out", str(out)])
         assert code == 0
     for name in ("stability.csv", "stability_verdict.csv",
                  "eigenfunction_arm1.csv", "eigenfunction_arm2.csv",
                  "eigenfunction_arm3.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    rep1, rep2 = ((out / "report.txt").read_text().splitlines() for out in (out1, out2))
+    differ = [a for a, b in zip(rep1, rep2) if a != b]
+    assert len(rep1) == len(rep2) and [a.split(" :")[0] for a in differ] == ["config"]
+    digest = hashlib.sha256((cfg_files / "disk.cfg").read_bytes()).hexdigest()
+    assert "config_sha256 : %s" % digest in rep1
     verdict = (out1 / "stability_verdict.csv").read_text()
     assert "unstable" in verdict
 
@@ -126,16 +137,24 @@ def test_discretization_tolerance_fallback_is_logged(disk, monkeypatch, caplog):
         _discretization_tolerance(cfg, mesh, u)
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _perfbench_module(name):
+    """A module of the benchmark, loaded read-only from perfbench/."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, os.path.join(ROOT, "perfbench", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_trace_targets_resolve():
     """perfbench's traced mode wraps package functions by module and name:
     each must still exist, and uninstall must put every original back."""
-    import importlib.util
     import trijunction  # noqa: F401  (the tracer patches loaded modules)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", os.path.join(root, "perfbench", "spans.py"))
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _perfbench_module("spans")
     targets = []
     for _, modname, path, _, _ in spans.TARGETS:
         owner = sys.modules["trijunction." + modname]
@@ -155,3 +174,29 @@ def test_benchmark_trace_targets_resolve():
     assert not tracer._undo
     for owner, attr, orig in installed:
         assert owner.__dict__[attr] is orig
+
+
+# random_1 is a test field, whose corner blends stop each point's Newton
+# iteration on convergence; its delta may move by this much
+SWEEP_DELTA_TOL = 1e-14
+
+
+def test_sweep_deltas_match_benchmark_references():
+    """The benchmark's sweep ops reproduce the energy deltas recorded in
+    perfbench/references.json for input seeds 0 and 5: exactly for the bumps
+    and junction shifts, within SWEEP_DELTA_TOL for random_1."""
+    import json
+    workloads = _perfbench_module("workloads")
+    with open(os.path.join(ROOT, "perfbench", "references.json")) as f:
+        refs = json.load(f)["sweep"]
+    for seed in (0, 5):
+        sweep = workloads.Sweep(ROOT, seed, None)
+        ops = sweep.ops(sweep.setup())
+        assert len(ops) == 6
+        for op in ops:
+            delta = op.observe(op.run())["scalars"]["delta"]
+            ref = refs[op.key]["delta"]
+            if op.key.startswith("random_1"):
+                assert abs(delta - ref) <= SWEEP_DELTA_TOL, op.key
+            else:
+                assert delta == ref, op.key

@@ -277,3 +277,119 @@ def test_projection_matches_dense_scan_on_ties():
     pts = c.point(c.knots)
     mid = 0.5 * (pts[:-1] + pts[1:])
     assert_bit_identical(c, np.vstack([mid, 0.5 * mid, 1.5 * mid]))
+
+
+# ----------------------------------------------------------------------
+# one 2-column spline against the pair of scalar splines it replaced
+# ----------------------------------------------------------------------
+
+class TwoSplineCurve(ParamCurve):
+    """ParamCurve built and evaluated through one scalar spline per
+    coordinate: the construction the vector spline must reproduce bit for bit."""
+
+    def _build(self, pts, resample, end_tangents, passes):
+        from scipy.interpolate import CubicSpline
+        from scipy.spatial import cKDTree
+
+        def fit(t, px, py, scale):
+            if self.closed:
+                return (CubicSpline(t, px, bc_type="periodic"),
+                        CubicSpline(t, py, bc_type="periodic"))
+            if end_tangents is None:
+                return (CubicSpline(t, px, bc_type="natural"),
+                        CubicSpline(t, py, bc_type="natural"))
+            d0 = np.asarray(end_tangents[0], float)
+            d1 = np.asarray(end_tangents[1], float)
+            d0 = d0 / np.linalg.norm(d0) * scale
+            d1 = d1 / np.linalg.norm(d1) * scale
+            return (CubicSpline(t, px, bc_type=((1, d0[0]), (1, d1[0]))),
+                    CubicSpline(t, py, bc_type=((1, d0[1]), (1, d1[1]))))
+
+        if self.closed and np.linalg.norm(pts[0] - pts[-1]) > 1e-12:
+            pts = np.vstack([pts, pts[0]])
+        n = resample if resample is not None else pts.shape[0]
+        t = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+        chord = t[-1]
+        t /= t[-1]
+        sx, sy = fit(t, pts[:, 0], pts[:, 1], chord)
+        for _ in range(passes):
+            tf = np.linspace(0.0, 1.0, max(8 * n, 1024))
+            sp = np.hypot(sx(tf, 1), sy(tf, 1))
+            arc = np.concatenate([[0.0], np.cumsum(0.5 * (sp[1:] + sp[:-1]) * np.diff(tf))])
+            total = arc[-1]
+            arc /= total
+            t_new = np.interp(np.linspace(0.0, 1.0, n), arc, tf)
+            px, py = sx(t_new), sy(t_new)
+            t = np.linspace(0.0, 1.0, n)
+            if self.closed:
+                px[-1], py[-1] = px[0], py[0]
+            sx, sy = fit(t, px, py, total)
+        self._sx, self._sy = sx, sy
+        self.knots = t
+        tf = np.linspace(0.0, 1.0, 4096)
+        self.length = float(np.trapezoid(np.hypot(sx(tf, 1), sy(tf, 1)), tf))
+        self._scan = t if len(t) >= 128 else np.linspace(0.0, 1.0, 256)
+        self._scan_tree = cKDTree(self.point(self._scan))
+
+    def point(self, s):
+        s = np.asarray(s, dtype=float)
+        return np.stack([self._sx(s), self._sy(s)], axis=-1)
+
+    def velocity(self, s):
+        s = np.asarray(s, dtype=float)
+        return np.stack([self._sx(s, 1), self._sy(s, 1)], axis=-1)
+
+    def accel(self, s):
+        s = np.asarray(s, dtype=float)
+        return np.stack([self._sx(s, 2), self._sy(s, 2)], axis=-1)
+
+
+def _curve_pairs():
+    wavy = np.stack([np.linspace(-0.5, 0.5, 300),
+                     0.3 * np.sin(np.linspace(-1.0, 1.0, 300))], axis=1)
+    return [(cls.line((0.0, 0.0), (1.0, 0.5), n=24),
+             cls.arc((0.1, 0.0), 1.0, 0.2, 2.5, n=300),
+             cls.circle(radius=1.3, n=900, clockwise=True),
+             cls.from_samples(wavy, flag=-1))
+            for cls in (ParamCurve, TwoSplineCurve)]
+
+
+def test_vector_spline_matches_scalar_splines():
+    """Natural, clamped and periodic fits: the 2-column spline gives the same
+    bits as one scalar spline per coordinate."""
+    s = np.concatenate([np.linspace(-0.05, 1.05, 1001), [0.0, 1.0, 0.5]])
+    for new, old in zip(*_curve_pairs()):
+        for name in ("point", "velocity", "accel"):
+            assert np.array_equal(getattr(new, name)(s), getattr(old, name)(s)), name
+            assert np.array_equal(getattr(new, name)(0.3), getattr(old, name)(0.3)), name
+        assert np.array_equal(new.knots, old.knots)
+        assert new.length == old.length
+        assert new.reach == old.reach
+
+
+@pytest.mark.parametrize("k", range(len(PROJECTION_CURVES)))
+def test_projection_of_no_points(k):
+    c = PROJECTION_CURVES[k]
+    x = np.empty((0, 2))
+    s, d, interior = c.project(x, require_interior=True)
+    assert s.shape == d.shape == interior.shape == (0,)
+    assert interior.dtype == bool
+    assert c.distance_to_set(x).shape == (0,)
+    assert c.normal_extension(x).shape == (0, 2)
+
+
+@pytest.mark.parametrize("k", range(len(PROJECTION_CURVES)))
+def test_near_box_keeps_every_point_within_r(k):
+    """near_box may only reject points farther than r from the arc."""
+    c = PROJECTION_CURVES[k]
+    rng = np.random.default_rng(k)
+    pts = c.point(np.linspace(0.0, 1.0, 400))
+    lo, hi = pts.min(axis=0) - 1.0, pts.max(axis=0) + 1.0
+    x = lo + (hi - lo) * rng.random((4000, 2))
+    r = 0.2
+    far = ~c.near_box(x, r)
+    assert np.any(far) and np.any(~far)
+    assert np.all(c.distance_to_set(x[far]) > r)
+    s = rng.random(300)
+    assert np.all(c.near_box(c.point(s), 0.0))
+    assert np.all(c.near_box(c.point(s) + r * rng.uniform(-1, 1, (300, 1)) * c.normal(s), r))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trijunction import (VectorField, VelocityPair, JunctionScalar, ParamCurve,
                          flow_from_field, build_test_field,
@@ -8,7 +9,7 @@ from trijunction import (VectorField, VelocityPair, JunctionScalar, ParamCurve,
                          energy_comparison_sweep, perturbation_catalog,
                          AdmissibilityError, GeometryError, radial_bump, rk4_flow,
                          c2_distance_on_crack)
-from trijunction.fields import rk4_flow_with_jac, CornerBlend
+from trijunction.fields import rk4_flow_with_jac, CornerBlend, corner_coordinates
 from trijunction.flows import chi, BulkExtension
 
 
@@ -295,3 +296,159 @@ def test_sweep_records_package_errors_only(disk):
     with pytest.raises(ValueError):
         energy_comparison_sweep(cfg, u, mesh, [("bug", failing(ValueError))],
                                 amplitudes=(0.01,))
+
+
+# ----------------------------------------------------------------------
+# flowing only the points that move
+# ----------------------------------------------------------------------
+
+def _rk4_full_batch(field, P, t, substeps=8):
+    """RK4 with every point in every stage: the loop rk4_flow must reproduce."""
+    P = np.atleast_2d(np.asarray(P, float)).copy()
+    dt = t / substeps
+    for _ in range(substeps):
+        k1 = field(P)
+        k2 = field(P + 0.5 * dt * k1)
+        k3 = field(P + 0.5 * dt * k2)
+        k4 = field(P + dt * k3)
+        P = P + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return P
+
+
+@pytest.fixture(scope="module")
+def trilobe_catalog(trilobe):
+    return perturbation_catalog(trilobe[0], np.random.default_rng(0))
+
+
+def test_rk4_flow_steps_only_moving_points(trilobe, trilobe_catalog):
+    """Bitwise equal to the full-batch loop on the mesh nodes plus arm samples
+    for every catalog field; points with zero velocity come back unchanged,
+    and after its first call the field sees only the moving points."""
+    cfg, mesh, _ = trilobe
+    ss = np.linspace(0.0, 1.0, 320)
+    P = np.vstack([mesh.vx] + [arm.point(ss) for arm in cfg.arms])
+    for name, V in trilobe_catalog:
+        X = V.X * 0.1
+        sizes = []
+
+        def field(Q):
+            sizes.append(len(Q))
+            return X(Q)
+        got = rk4_flow(field, P, 1.0, substeps=2)
+        assert np.array_equal(got, _rk4_full_batch(X, P, 1.0, substeps=2)), name
+        moving = np.any(X(P) != 0.0, axis=1)
+        assert 0 < np.count_nonzero(moving) < len(P), name
+        assert np.array_equal(got[~moving], P[~moving]), name
+        assert sizes[0] == len(P) and set(sizes[1:]) == {np.count_nonzero(moving)}, name
+
+
+def test_energy_at_map_flows_once(trilobe, trilobe_catalog):
+    """One map call for the mesh nodes and the arm samples gives the energy,
+    nodes and solution of flowing the mesh and each arm separately."""
+    from trijunction.fem import solve_transported
+    from trijunction.variation import ms_energy
+    cfg, mesh, u = trilobe
+    X = dict(trilobe_catalog)["random_1"].X * 0.01
+
+    def mp(P):
+        return rk4_flow(X, P, 1.0)
+    calls = []
+
+    def counted(P):
+        calls.append(len(P))
+        return mp(P)
+    e, u_t, mesh_t, arms_t = energy_at_map(cfg, u, mesh, counted)
+    assert calls == [mesh.n_nodes + 3 * 320]
+    ss = np.linspace(0.0, 1.0, 320)
+    arms_ref = [ParamCurve.from_samples(mp(arm.point(ss)), flag=arm.flag) for arm in cfg.arms]
+    mesh_ref = mesh.morph(mp)
+    u_ref = solve_transported(cfg, mesh_ref, u)
+    assert e == ms_energy(u_ref, cfg, "U", curves=arms_ref)[0]
+    assert np.array_equal(mesh_t.vx, mesh_ref.vx)
+    assert np.array_equal(u_t.values, u_ref.values)
+    for arm_t, arm_ref in zip(arms_t, arms_ref):
+        assert np.array_equal(arm_t.point(ss), arm_ref.point(ss))
+
+
+def _probe_field(cfg, seed):
+    """The variation-check probe: a radial bump at arm 1's s = 0.45."""
+    c = cfg.arms[0].point(0.45)
+    d = 0.6 * np.random.default_rng(seed).standard_normal(2)
+    return VectorField(lambda P: radial_bump(P, c, 0.05 * cfg.mu, 0.75 * cfg.mu)[:, None] * d)
+
+
+@pytest.mark.parametrize("fixture", ["trilobe", "disk"])
+def test_flows_fix_the_nodes_outside_the_subdomain(fixture, request):
+    """Every catalog field and the variation-check probe leave each mesh node
+    outside vertex_mask bitwise in place, so the transported mesh of
+    energy_at_map equals the base mesh outside U."""
+    cfg, mesh, _ = request.getfixturevalue(fixture)
+    out = ~mesh.vertex_mask
+    fields = [V.X for _, V in perturbation_catalog(cfg, np.random.default_rng(3))]
+    fields += [_probe_field(cfg, seed) for seed in range(4)]
+    for k, X in enumerate(fields):
+        img = rk4_flow(X * 0.1, mesh.vx, 1.0)
+        assert np.array_equal(img[out], mesh.vx[out]), k
+        assert not np.array_equal(img, mesh.vx), k
+
+
+# ----------------------------------------------------------------------
+# corner coordinates: each point stops when it has converged
+# ----------------------------------------------------------------------
+
+CORNER_TOL = 1e-14     # |s - s_14|, |t - t_14| against the fixed 14-step loop
+
+
+def _corner_coordinates_14_steps(a, b, corner, P, sa0, sb0, clamp):
+    """The fixed 14-step Newton loop, and per point the first step whose s
+    and t updates are both below 1e-14 (14 if none)."""
+    s = np.full(P.shape[0], float(sa0))
+    t = np.full(P.shape[0], float(sb0))
+    converged = np.full(P.shape[0], 14)
+    for k in range(1, 15):
+        F = a.point(s) + b.point(t) - corner - P
+        da = a.velocity(s)
+        db = b.velocity(t)
+        det = da[:, 0] * db[:, 1] - da[:, 1] * db[:, 0]
+        det = np.where(np.abs(det) < 1e-30, 1e-30, det)
+        ds = -(db[:, 1] * F[:, 0] - db[:, 0] * F[:, 1]) / det
+        dt = -(-da[:, 1] * F[:, 0] + da[:, 0] * F[:, 1]) / det
+        s_new = np.clip(s + ds, sa0 - clamp, sa0 + clamp)
+        t_new = np.clip(t + dt, sb0 - clamp, sb0 + clamp)
+        small = (np.abs(s_new - s) < 1e-14) & (np.abs(t_new - t) < 1e-14)
+        converged = np.where(small & (converged == 14), k, converged)
+        s, t = s_new, t_new
+    return s, t, converged
+
+
+class _CountingCurve:
+    def __init__(self, curve):
+        self.curve, self.sizes = curve, []
+
+    def point(self, s):
+        self.sizes.append(len(s))
+        return self.curve.point(s)
+
+    def velocity(self, s):
+        return self.curve.velocity(s)
+
+
+@given(polar=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * np.pi)),
+                      min_size=1, max_size=40))
+@settings(max_examples=25)
+def test_corner_coordinates_stop_on_convergence(trilobe_catalog, polar):
+    """Within CORNER_TOL of the 14-step loop on points of each trilobe
+    contact's corner zone; a point leaves after the step where it converged."""
+    tf = dict(trilobe_catalog)["random_1"].X._fn
+    rho, th = np.array(polar).T
+    for blend, delta_c in zip(tf._corners, tf.delta_c):
+        P = blend.corner + (delta_c * rho)[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+        a = _CountingCurve(blend.a)
+        s, t = corner_coordinates(a, blend.b, blend.corner, P, blend.sa0, blend.sb0,
+                                  clamp=blend.clamp)
+        s14, t14, converged = _corner_coordinates_14_steps(
+            blend.a, blend.b, blend.corner, P, blend.sa0, blend.sb0, blend.clamp)
+        assert np.max(np.abs(s - s14)) <= CORNER_TOL
+        assert np.max(np.abs(t - t14)) <= CORNER_TOL
+        assert a.sizes == [np.count_nonzero(converged >= k) for k in range(1, len(a.sizes) + 1)]
+        assert np.all(converged < 14) and len(a.sizes) == converged.max() < 14
