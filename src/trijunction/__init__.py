@@ -8,32 +8,29 @@ from .errors import (TrijunctionError, GeometryError, ProjectionError,
 from .curves import (ParamCurve, rot90, tangential_gradient,
                      tangential_divergence, divergence_formula_check)
 from .diffeo import Diffeo, pushforward, area_formula_check
-from .fields import VectorField, smoothstep, bump, ramp, radial_bump, rk4_flow
-from .config import (TripleJunctionConfig, junction_metrics, disk_config,
-                     trilobe_config, bent_arm_config, transported_config,
-                     save_config, load_config)
+from .fields import VectorField, bump, radial_bump, rk4_flow
+from .config import (TripleJunctionConfig, disk_config, trilobe_config,
+                     bent_arm_config, transported_config, save_config, load_config)
 from .crackmesh import (CrackMesh, generate_crack_mesh, mark_admissible_subdomain,
-                        DIRICHLET, NEU_OUTER, NEU_CRACK)
+                        DIRICHLET, NEU_OUTER)
 from .fem import (CrackField, Operator, SectorConstants, solve_equilibrium,
                   solve_transported, solve_shape_derivative, solve_vphi,
                   refine_uniform, prolong,
                   assemble_boundary_load)
 from .hspace import JunctionScalar, SmoothJunctionScalar, junction_basis, combine
-from .variation import (VelocityPair, CurveVelocity, VariationReport, ms_energy,
-                        structure_function_f, f_sup_norm, first_variation,
-                        second_variation, criticality_residual, is_critical,
+from .variation import (VelocityPair, ms_energy, structure_function_f, f_sup_norm,
+                        first_variation, second_variation, criticality_residual,
                         quadratic_form, second_variation_remainder,
                         normal_speed_scalar)
-from .stability import (StabilityReport, assemble_stability_problem,
-                        stability_verdict, analyze_stability, oracle_1d,
-                        oracle_quadrature_value, tubular_stability_check,
-                        necessity_probe, coercivity_continuity_probe)
+from .stability import (assemble_stability_problem, stability_verdict,
+                        analyze_stability, oracle_1d, oracle_quadrature_value,
+                        tubular_stability_check, necessity_probe,
+                        coercivity_continuity_probe)
 from .identities import AnalyticScalarField, canonical_identity_suite
-from .flows import (FlowFamily, flow_from_field, build_test_field,
+from .flows import (flow_from_field, build_test_field,
                     construct_connecting_family, verify_flow_estimates,
                     extend_to_bulk, BulkExtension, energy_at_map,
                     energy_taylor_check, energy_comparison_sweep,
-                    perturbation_catalog, descent_energy_delta,
-                    c2_distance_on_crack)
+                    perturbation_catalog, c2_distance_on_crack)
 
 __version__ = "0.1.0"

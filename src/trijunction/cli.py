@@ -252,8 +252,6 @@ def run_variation_check(scn):
     svrep = second_variation(cfg, u, V)
 
     from .fields import rk4_flow
-    from .fem import solve_transported
-    from .curves import ParamCurve
 
     def g(t):
         if t == 0.0:
@@ -384,13 +382,11 @@ def run_minimality_sweep(scn):
 
 def _discretization_tolerance(cfg, mesh, u):
     """Energy error estimate from one nested refinement."""
-    from .fem import refine_uniform, prolong, Operator, CrackField
+    from .fem import refine_uniform, prolong
     try:
         fine = refine_uniform(mesh)
-        up = prolong(u, fine)
         e_c = u.energy()
-        op2 = Operator(fine)
-        e_f = CrackField(fine, up.values, op2).energy()
+        e_f = prolong(u, fine).energy()
         est = abs(e_f - e_c)
     except TrijunctionError as exc:
         log.warning("discretization estimate failed (%s); tolerance falls back to 1e-8", exc)

@@ -167,10 +167,6 @@ class TripleJunctionConfig:
         }
 
 
-def junction_metrics(config):
-    return config.metrics()
-
-
 # ----------------------------------------------------------------------
 # canonical configurations
 # ----------------------------------------------------------------------

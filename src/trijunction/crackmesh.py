@@ -62,6 +62,9 @@ class CrackMesh:
         self.vertex_mask = vertex_mask
         self.elem_mask = elem_mask
         self.mu = mu
+        # holds the stiffness operator of this geometry once fem.mesh_operator
+        # has built it; marked copies share the slot of their source
+        self.operator_slot = []
 
     # ------------------------------------------------------------------
     @property
@@ -71,14 +74,6 @@ class CrackMesh:
     @property
     def n_tris(self):
         return self.tris.shape[0]
-
-    def copy(self):
-        return CrackMesh(self.vx.copy(), self.tris, self.sector, self.n_vertex,
-                         self.crack, self.junction_nodes, self.bdry,
-                         self.outer_param, self.h,
-                         None if self.vertex_mask is None else self.vertex_mask.copy(),
-                         None if self.elem_mask is None else self.elem_mask.copy(),
-                         self.mu)
 
     def min_angle(self):
         p = self.vx[self.tris[:, :3]]
@@ -666,7 +661,11 @@ def _boundary_edges(config, sector_data, edge_mid, outer_param):
 # ----------------------------------------------------------------------
 
 def mark_admissible_subdomain(mesh, config, mu):
-    """Vertex/element masks for the tubular subdomain (Gamma)_mu."""
+    """Vertex/element masks for the tubular subdomain (Gamma)_mu.
+
+    The marked copy shares the node array and the operator slot of mesh: its
+    geometry is the same, so is its stiffness operator.
+    """
     if mu <= 0:
         raise ConfigError("subdomain radius must be positive (Gamma must lie in U)")
     for p in config.transition_points():
@@ -680,8 +679,8 @@ def mark_admissible_subdomain(mesh, config, mu):
     dn = mesh.dirichlet_nodes()
     if dn.size and np.min(d[dn]) < mu + 2.0 * mesh.h:
         raise ConfigError("Dirichlet boundary closer than 2h to the subdomain")
-    out = mesh.copy()
-    out.vertex_mask = vmask
-    out.elem_mask = emask
-    out.mu = float(mu)
+    out = CrackMesh(mesh.vx, mesh.tris, mesh.sector, mesh.n_vertex, mesh.crack,
+                    mesh.junction_nodes, mesh.bdry, mesh.outer_param, mesh.h,
+                    vmask, emask, float(mu))
+    out.operator_slot = mesh.operator_slot
     return out

@@ -8,6 +8,8 @@ tangential integration by parts edge-wise along each arm.
 """
 
 import logging
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -134,13 +136,6 @@ class Assembly:
             return float(np.sum(e))
         return float(np.sum(e[elem_select]))
 
-    def integrate(self, fn, elem_select=None):
-        vals = fn(self.qpoints.reshape(-1, 2)).reshape(self.wdet.shape)
-        e = np.sum(vals * self.wdet, axis=1)
-        if elem_select is None:
-            return float(np.sum(e))
-        return float(np.sum(e[elem_select]))
-
     def interpolate(self, values):
         """Nodal field at the quadrature points, shape (nt, nq)."""
         return np.einsum("qa,na->nq", self.N, values[self.tris])
@@ -260,30 +255,15 @@ class CrackField:
             xi = xi + dxi
         return xi
 
-    def eval(self, P, sector, grad=False):
-        """Field (and gradient) at points inside the given sector."""
+    def eval(self, P, sector):
+        """Field values at points inside the given sector."""
         P = np.atleast_2d(np.asarray(P, float))
         telem, xi, q = self._locate(P, sector)
         if np.any(q < -0.2):
             raise SolveError("evaluation point far outside sector %d" % sector)
         xi = self._newton_refine(P, telem, xi)
-        X = self.mesh.vx[self.mesh.tris[telem]]
-        U = self.values[self.mesh.tris[telem]]
-        N, dN = p2_basis(xi[:, 0], xi[:, 1])
-        out_v = np.einsum("na,na->n", N, U)
-        if not grad:
-            return out_v
-        J = np.einsum("nak,nad->ndk", dN, X)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        invT = np.empty_like(J)
-        invT[:, 0, 0] = J[:, 1, 1]
-        invT[:, 0, 1] = -J[:, 1, 0]
-        invT[:, 1, 0] = -J[:, 0, 1]
-        invT[:, 1, 1] = J[:, 0, 0]
-        invT /= det[:, None, None]
-        gref = np.einsum("nak,na->nk", dN, U)
-        out_g = np.einsum("nkd,nd->nk", invT, gref)
-        return out_v, out_g
+        N, _ = p2_basis(xi[:, 0], xi[:, 1])
+        return np.einsum("na,na->n", N, self.values[self.mesh.tris[telem]])
 
     # ---------------------------------------------------------------- traces
     def trace(self, arm_idx, side):
@@ -308,11 +288,6 @@ class CrackField:
         else:
             sel = region
         return asm.energy(self.values, sel)
-
-    def dump(self, stream):
-        stream.write("# trijunction field, mesh %s\n" % self.mesh.content_hash())
-        for v in self.values:
-            stream.write("%.17g\n" % v)
 
 
 class TraceFn:
@@ -367,42 +342,97 @@ class TraceFn:
         speed = np.linalg.norm(dx, axis=-1)
         return np.sum(dN * u, axis=-1) / speed
 
-    def position(self, s):
-        s = np.atleast_1d(np.asarray(s, float))
-        e, shat = self._edge_of(s)
-        N, _ = self._shape1d(shat)
-        X, _ = self._edge_data(e)
-        return np.einsum("...a,...ad->...d", N, X)
-
-    def edge_quadrature(self, order=8):
-        """Positions, weights (arc measure) and trace/derivative values at
-        Gauss points of every edge; used by all crack-line integrals."""
-        xg, wg = gauss_legendre(order)
-        e = np.repeat(np.arange(self.n_edges), order)
-        shat = np.tile(xg, self.n_edges)
-        N, dN = self._shape1d(shat)
-        X, u = self._edge_data(e)
-        pos = np.einsum("na,nad->nd", N, X)
-        dx = np.einsum("na,nad->nd", dN, X)
-        speed = np.linalg.norm(dx, axis=-1)
-        w = np.tile(wg, self.n_edges) * speed
-        val = np.sum(N * u, axis=-1)
-        dval = np.sum(dN * u, axis=-1) / speed
-        s_v = self.s[::2]
-        s_par = s_v[e] + shat * (s_v[e + 1] - s_v[e])
-        tangent = dx / speed[:, None]
-        return {"pos": pos, "w": w, "val": val, "darc": dval,
-                "s": s_par, "edge": e, "tangent": tangent}
-
     def derivative_jump_indicator(self):
         """Median inter-edge jump of the tangential derivative (noise level)."""
-        sv = self.s[::2]
-        jumps = []
-        for e in range(self.n_edges - 1):
-            left = self.darc(np.array([sv[e + 1] - 1e-12]))[0]
-            right = self.darc(np.array([sv[e + 1] + 1e-12]))[0]
-            jumps.append(abs(left - right))
-        return float(np.median(jumps)) if jumps else 0.0
+        sv = self.s[::2][1:-1]      # the interior vertices
+        d = self.darc(np.concatenate([sv - 1e-12, sv + 1e-12]))
+        return float(np.median(np.abs(d[:sv.size] - d[sv.size:])))
+
+
+CRACK_GAUSS_ORDER = 8       # Gauss points per quadratic crack edge
+
+
+class CrackSide:
+    """Gauss data of a field on one side of one discrete arm, at the Gauss
+    points of its quadratic edges:
+
+      arm, sgn   the arm index and the sign of the side's weak crack load
+      ids, dN    the three node ids of the point's edge and the derivatives
+                 of their reference shape functions
+      wref, w    the reference Gauss weights and the arc-length weights
+      pos        the positions
+      darc       the one-sided tangential derivative of the field
+      s          the parameters of pos on the arm curve
+      ends       the arc endpoints whose point load enters the weak form
+
+    s and ends come from one projection onto the curve, made on first use.
+    """
+
+    def __init__(self, trace, curve, arm, sgn):
+        self.trace, self.curve, self.arm, self.sgn = trace, curve, arm, sgn
+        xg, wg = gauss_legendre(CRACK_GAUSS_ORDER)
+        k = 2 * np.repeat(np.arange(trace.n_edges), CRACK_GAUSS_ORDER)[:, None] + np.arange(3)
+        self.ids = trace.ids[k]
+        X = trace.mesh.vx[self.ids]
+        N, self.dN = TraceFn._shape1d(np.tile(xg, trace.n_edges))
+        self.pos = np.einsum("na,nad->nd", N, X)
+        speed = np.linalg.norm(np.einsum("na,nad->nd", self.dN, X), axis=-1)
+        self.wref = np.tile(wg, trace.n_edges)
+        self.w = self.wref * speed
+        self.darc = np.sum(self.dN * trace.vals[k], axis=-1) / speed
+        self.end_nodes = trace.ids[[-1, 0]]     # the arc endpoints s = 1, s = 0
+
+    @cached_property
+    def _params(self):
+        """Curve parameters of the Gauss points, then of the two endpoints."""
+        return self.curve.project(np.vstack([self.pos, self.trace.mesh.vx[self.end_nodes]]))[0]
+
+    @property
+    def s(self):
+        return self._params[:-2]
+
+    @cached_property
+    def ends(self):
+        """The endpoints (s = 1 first) whose one-sided derivative stands out
+        of the inter-edge jump noise, each with its node, position (1 x 2),
+        curve parameter s, derivative du and outward sign esgn."""
+        noise = 10.0 * self.trace.derivative_jump_indicator()
+        vx = self.trace.mesh.vx
+        return [{"node": int(node), "pos": vx[[node]], "s": float(s_end), "du": float(du),
+                 "esgn": esgn}
+                for node, s_end, du, esgn in zip(self.end_nodes, self._params[-2:],
+                                                 self.trace.darc(np.array([1.0, 0.0])),
+                                                 (1.0, -1.0))
+                if abs(du) > noise]
+
+
+class CrackQuadrature:
+    """Gauss quadrature of one field u on both sides of the three discrete
+    arms, with closest-point parameters on the given arm curves: the one
+    source of crack-line data.
+
+    sides lists the six CrackSides, arm by arm, plus before minus.  arms[i]
+    holds, at the plus side's Gauss points of arm i, pos, w and s, the frames
+    tau, nu and H of curves[i] there, and the one-sided derivatives du_plus
+    and du_minus.  Each side is projected onto its curve at most once: the
+    plus sides here, the minus sides only if a crack load reads them.
+    """
+
+    def __init__(self, u, curves):
+        self.curves = curves
+        # flux convention: the outward normal of the plus component on the
+        # crack is -nu, so the Neumann data div_G(q grad_G u+/-) enters the
+        # weak form as  int_G [ (.)^- z^- - (.)^+ z^+ ]  (validated against
+        # finite differences of the transported solutions)
+        self.sides = [CrackSide(u.trace(i, side), curve, i, sgn)
+                      for i, curve in enumerate(curves)
+                      for side, sgn in (("plus", -1.0), ("minus", 1.0))]
+        self.arms = []
+        for plus, minus, curve in zip(self.sides[::2], self.sides[1::2], curves):
+            self.arms.append({"pos": plus.pos, "w": plus.w, "s": plus.s,
+                              "tau": curve.tangent(plus.s), "nu": curve.normal(plus.s),
+                              "H": curve.curvature(plus.s), "du_plus": plus.darc,
+                              "du_minus": minus.darc})
 
 
 # ----------------------------------------------------------------------
@@ -431,10 +461,21 @@ def _dirichlet_values(mesh, op, data):
     return nodes, vals
 
 
+def mesh_operator(mesh):
+    """The stiffness operator of the mesh's geometry, built on first use.
+
+    It is kept in mesh.operator_slot, which the marked copies of a mesh share
+    (see mark_admissible_subdomain). The operator keeps no reference to the
+    mesh, so the two form no reference cycle.
+    """
+    if not mesh.operator_slot:
+        mesh.operator_slot.append(Operator(mesh))
+    return mesh.operator_slot[0]
+
+
 def solve_equilibrium(config, mesh, dirichlet_data, neumann_load=None):
     """Harmonic field with the given Dirichlet data, natural elsewhere."""
-    op = mesh._operator if hasattr(mesh, "_operator") else Operator(mesh)
-    mesh._operator = op
+    op = mesh_operator(mesh)
     nodes, vals = _dirichlet_values(mesh, op, dirichlet_data)
     rhs = None
     if neumann_load is not None:
@@ -451,11 +492,10 @@ def transported_pin_set(mesh):
     return np.union1d(pinned, mesh.dirichlet_nodes())
 
 
-def solve_transported(config, mesh_t, u_base):
+def solve_transported(mesh_t, u_base):
     """Minimizer of the Dirichlet energy on the transported slit domain,
     constrained to match u_base outside U (and on the Dirichlet part)."""
-    op = mesh_t._operator if hasattr(mesh_t, "_operator") else Operator(mesh_t)
-    mesh_t._operator = op
+    op = mesh_operator(mesh_t)
     pinned = transported_pin_set(mesh_t)
     base_mesh = u_base.mesh
     same = (base_mesh.n_nodes == mesh_t.n_nodes and
@@ -473,90 +513,48 @@ def solve_transported(config, mesh_t, u_base):
 
 
 class CrackLoadAssembler:
-    """Precomputed crack-edge quadrature for many right-hand sides.
+    """Weak crack loads over one CrackQuadrature, for many right-hand sides.
 
-    Each call to rhs(q_eval) assembles the weak load for a new scalar factor
-    q over the same traces; q_eval(arm_idx, s_params, positions) returns its
-    values.  Arm parameters are closest-point projections onto the supplied
-    curves, so the same object serves transported configurations.
+    Each call to rhs(q_eval) assembles the load of a new scalar factor q over
+    the same traces; q_eval(arm_idx, s_params, positions) returns its values.
+    Arm parameters are closest-point projections onto the supplied curves,
+    so the same object serves transported configurations.  mesh is the mesh
+    of u or a marked copy of it: the load lives on its nodes.
     """
 
-    def __init__(self, mesh, u, curves, order=8, endpoint_policy="auto"):
-        self.mesh = mesh
-        self.endpoint_policy = endpoint_policy
-        xg, wg = gauss_legendre(order)
-        self.entries = []
-        # flux convention: the outward normal of the plus component on the
-        # crack is -nu, so the Neumann data div_G(q grad_G u+/-) enters the
-        # weak form as  int_G [ (.)^- z^- - (.)^+ z^+ ]  (validated against
-        # finite differences of the transported solutions)
-        for arm_idx in range(3):
-            rec = mesh.crack[arm_idx]
-            for side, sgn in (("plus", -1.0), ("minus", 1.0)):
-                tf = TraceFn(mesh, rec[side], rec["s"], u.values)
-                quad = tf.edge_quadrature(order)
-                s_proj, _, _ = curves[arm_idx].project(quad["pos"])
-                nE = tf.n_edges
-                shat = np.tile(xg, nE)
-                _, dN = TraceFn._shape1d(shat)
-                e = np.repeat(np.arange(nE), order)
-                w = np.tile(wg, nE)
-                ids = np.stack([tf.ids[2 * e], tf.ids[2 * e + 1],
-                                tf.ids[2 * e + 2]], axis=-1)
-                indicator = tf.derivative_jump_indicator()
-                ends = []
-                for s_end, esgn in ((1.0, 1.0), (0.0, -1.0)):
-                    du = float(tf.darc(np.array([s_end]))[0])
-                    keep = endpoint_policy == "always" or (
-                        endpoint_policy == "auto" and abs(du) > 10.0 * indicator)
-                    node = tf.ids[-1] if s_end == 1.0 else tf.ids[0]
-                    pos_end = tf.position(np.array([s_end]))
-                    s_end_proj, _, _ = curves[arm_idx].project(pos_end)
-                    ends.append({"node": int(node), "du": du, "esgn": esgn,
-                                 "kept": bool(keep and endpoint_policy != "never"),
-                                 "s": float(s_end_proj[0]), "pos": pos_end,
-                                 "arm": arm_idx, "side": side, "end": s_end})
-                self.entries.append({
-                    "arm": arm_idx, "sgn": sgn, "ids": ids, "dN": dN,
-                    "w": w, "darc": quad["darc"], "pos": quad["pos"],
-                    "s": s_proj, "ends": ends})
+    def __init__(self, mesh, u, curves):
+        self.n_nodes = mesh.n_nodes
+        self.quad = CrackQuadrature(u, curves)
 
     def rhs(self, q_eval):
-        b = np.zeros(self.mesh.n_nodes)
-        for ent in self.entries:
-            qv = np.asarray(q_eval(ent["arm"], ent["s"], ent["pos"]), float)
-            local = -ent["sgn"] * ((qv * ent["darc"] * ent["w"])[:, None] * ent["dN"])
-            np.add.at(b, ent["ids"].ravel(), local.ravel())
-            for end in ent["ends"]:
-                if end["kept"]:
-                    q_end = float(np.asarray(
-                        q_eval(ent["arm"], np.array([end["s"]]), end["pos"]), float)[0])
-                    b[end["node"]] += ent["sgn"] * end["esgn"] * q_end * end["du"]
+        b = np.zeros(self.n_nodes)
+        for side in self.quad.sides:
+            qv = np.asarray(q_eval(side.arm, side.s, side.pos), float)
+            local = -side.sgn * ((qv * side.darc * side.wref)[:, None] * side.dN)
+            np.add.at(b, side.ids.ravel(), local.ravel())
+            for end in side.ends:
+                q_end = float(np.asarray(
+                    q_eval(side.arm, np.array([end["s"]]), end["pos"]), float)[0])
+                b[end["node"]] += side.sgn * end["esgn"] * q_end * end["du"]
         return b
 
-    def endpoint_report(self):
-        return [e for ent in self.entries for e in ent["ends"]]
 
-
-def solve_crack_loaded(mesh, u, assembler, q_eval):
+def solve_crack_loaded(mesh, assembler, q_eval):
     """Field in H^1_U solving  int grad v . grad z = (crack load for q)."""
-    op = mesh._operator if hasattr(mesh, "_operator") else Operator(mesh)
-    mesh._operator = op
+    op = mesh_operator(mesh)
     b = assembler.rhs(q_eval)
     pinned = transported_pin_set(mesh)
     v = op.solve_pinned(pinned, np.zeros(pinned.size), b.reshape(-1, 1))
-    fld = CrackField(mesh, v[:, 0], op)
-    fld.endpoint_report = assembler.endpoint_report()
-    return fld
+    return CrackField(mesh, v[:, 0], op)
 
 
-def solve_shape_derivative(config, u, V, curves=None, endpoint_policy="auto",
-                           tangency_tol=1e-6, assembler=None):
+def solve_shape_derivative(config, u, V, curves=None, assembler=None):
     """Transported-solution derivative: crack data div_G((X.nu) grad_G u).
 
     V is a velocity object: VelocityPair or CurveVelocity, anything with a
     normal_speed(arm_idx, s, pos, nu) method.  When it also carries a bulk
-    field X, X must be tangent to the outer boundary.
+    field X, X must be tangent to the outer boundary.  assembler, when given,
+    is a CrackLoadAssembler of (u, curves).
     """
     mesh = u.mesh
     arms = curves if curves is not None else config.arms
@@ -565,25 +563,25 @@ def solve_shape_derivative(config, u, V, curves=None, endpoint_policy="auto",
         Pb = config.outer.point(tb)
         xb = np.atleast_2d(V.X(Pb))
         xn = np.abs(np.sum(xb * config.outer.normal(tb), axis=1))
-        if np.max(xn) > max(tangency_tol, 1e-8 * (1 + np.abs(xb).max())):
+        if np.max(xn) > max(1e-6, 1e-8 * (1 + np.abs(xb).max())):
             raise AdmissibilityError("velocity not tangent to the outer boundary "
                                      "(max X.nu = %.2e)" % np.max(xn))
     if assembler is None:
-        assembler = CrackLoadAssembler(mesh, u, arms, endpoint_policy=endpoint_policy)
+        assembler = CrackLoadAssembler(mesh, u, arms)
 
     def q_eval(arm_idx, s, pos):
         return V.normal_speed(arm_idx, s, pos, arms[arm_idx].normal(s))
 
-    return solve_crack_loaded(mesh, u, assembler, q_eval)
+    return solve_crack_loaded(mesh, assembler, q_eval)
 
 
-def solve_vphi(config, u, phi, curves=None, endpoint_policy="auto", assembler=None):
+def solve_vphi(config, u, phi, curves=None, assembler=None):
     """Stability-form field: crack data div_G(phi grad_G u)."""
     mesh = u.mesh
     arms = curves if curves is not None else config.arms
     if assembler is None:
-        assembler = CrackLoadAssembler(mesh, u, arms, endpoint_policy=endpoint_policy)
-    return solve_crack_loaded(mesh, u, assembler,
+        assembler = CrackLoadAssembler(mesh, u, arms)
+    return solve_crack_loaded(mesh, assembler,
                               lambda arm_idx, s, pos: phi.eval(arm_idx, s))
 
 

@@ -295,7 +295,7 @@ def descent_energy_delta(config, u, mesh, V, t):
     """MS energy change along the flow of V.X at time t (one re-solve)."""
     vx_t, arms_t = map_with_arms(config, lambda P: rk4_flow(V.X, P, t), 300, mesh.vx)
     mesh_t = mesh.with_nodes(vx_t)
-    u_t = solve_transported(config, mesh_t, u)
+    u_t = solve_transported(mesh_t, u)
     e_t = ms_energy(u_t, config, "U", curves=arms_t)[0]
     e_0 = ms_energy(u, config, "U")[0]
     return float(e_t - e_0)
@@ -979,7 +979,7 @@ def energy_at_map(config, u, mesh, map_fn):
     vx_t, arms_t = map_with_arms(config, map_fn, 320, mesh.vx)
     try:
         mesh_t = mesh.with_nodes(vx_t)
-        u_t = solve_transported(config, mesh_t, u)
+        u_t = solve_transported(mesh_t, u)
     except (MeshError, SolveError):
         from .crackmesh import generate_crack_mesh, mark_admissible_subdomain
         x0_t = np.atleast_2d(map_fn(config.junction[None, :]))[0]
@@ -989,7 +989,7 @@ def energy_at_map(config, u, mesh, map_fn):
         fresh = generate_crack_mesh(cfg_t, mesh.h)
         mesh_t = mark_admissible_subdomain(fresh, config, mesh.mu
                                            if mesh.mu is not None else config.mu)
-        u_t = solve_transported(config, mesh_t, u)
+        u_t = solve_transported(mesh_t, u)
         log.info("energy_at_map: fell back to fresh meshing")
     total, bulk, length = ms_energy(u_t, config, "U", curves=arms_t)
     return total, u_t, mesh_t, arms_t
@@ -1004,11 +1004,11 @@ def second_variation_at_time(config, u, mesh, family, t):
         arms_t = family.curves_at(0.0)
     else:
         mesh_t = mesh.morph(mp)
-        u_t = solve_transported(config, mesh_t, u)
+        u_t = solve_transported(mesh_t, u)
         arms_t = family.curves_at(t)
     cfg_t = transported_config(config, mp, validate=False)
     V_t = family.velocity_at(t)
-    rep = second_variation(cfg_t, u_t, V_t, curves=arms_t, mesh=mesh_t)
+    rep = second_variation(cfg_t, u_t, V_t, curves=arms_t)
     phi_t = normal_speed_scalar(cfg_t, V_t, n=65, curves=arms_t)
     qf = quadratic_form(cfg_t, u_t, phi_t, curves=arms_t, enforce_constraint=False)
     return {"t": t, "g2": rep.second_variation, "qf": qf,

@@ -3,6 +3,7 @@ on the arms whose values at the junction sum to zero."""
 
 import numpy as np
 
+from .curves import gauss_legendre
 from .errors import ConfigError
 
 
@@ -103,6 +104,19 @@ class SmoothJunctionScalar(JunctionScalar):
         hi = np.clip(s + ds, 0.0, 1.0)
         lo = np.clip(s - ds, 0.0, 1.0)
         return (self.eval(arm_idx, hi) - self.eval(arm_idx, lo)) / (hi - lo)
+
+
+def gauss_table(arm, n):
+    """The 6-point Gauss rule on each cell of the uniform n-node grid of an
+    arm's parameter: points s, parameter weights w, speed |arm'(s)| and
+    H(s)^2, each of shape (n - 1, 6).  The 1D stability matrices and the
+    local terms of the quadratic form both integrate with it."""
+    xg, wg = gauss_legendre(6)
+    cells = np.linspace(0.0, 1.0, n)
+    h = np.diff(cells)[:, None]
+    s = cells[:-1, None] + h * xg[None, :]
+    return (s, h * wg[None, :], np.linalg.norm(arm.velocity(s), axis=-1),
+            arm.curvature(s) ** 2)
 
 
 def junction_basis(config, n):

@@ -7,13 +7,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import SolveError, ConfigError
-from .curves import gauss_legendre, ParamCurve
-from .config import transported_config
+from .curves import gauss_legendre
+from .config import TripleJunctionConfig, map_with_arms
 from .crackmesh import mark_admissible_subdomain
-from .fem import (Operator, CrackField, CrackLoadAssembler, transported_pin_set,
-                  solve_transported, solve_equilibrium)
-from .hspace import JunctionScalar, junction_basis, combine
-from .variation import quadratic_form, is_critical, ms_energy
+from .fem import CrackLoadAssembler, mesh_operator, transported_pin_set, solve_transported
+from .hspace import junction_basis, combine, gauss_table
+from .variation import criticality_residual
 
 log = logging.getLogger("trijunction.stability")
 
@@ -40,9 +39,6 @@ class StabilityReport:
                  "  lowest eigenvalues  " + " ".join("% .6e" % v for v in self.eigvals[:6])]
         return "\n".join(lines)
 
-    def rows(self):
-        return [("lambda_%02d" % k, float(v)) for k, v in enumerate(self.eigvals[:12])]
-
     def dump_matrices(self, stream):
         for name, M in (("Q", self.Q), ("G", self.G)):
             stream.write("# %s %d %d\n" % (name, M.shape[0], M.shape[1]))
@@ -58,27 +54,26 @@ class StabilityReport:
 
 def _arm_1d_matrices(arm, n):
     """P1 stiffness, mass and H^2-weighted mass on one arm (arc measure)."""
-    L = arm.length
-    xg, wg = gauss_legendre(6)
+    s, w, speed, H2 = gauss_table(arm, n)
     cells = np.linspace(0.0, 1.0, n)
-    K = np.zeros((n, n))
-    M = np.zeros((n, n))
-    W = np.zeros((n, n))
-    for k in range(n - 1):
-        s0, s1 = cells[k], cells[k + 1]
-        s = s0 + xg * (s1 - s0)
-        w = wg * (s1 - s0)
-        speed = np.linalg.norm(arm.velocity(s), axis=-1)
-        N = np.stack([(s1 - s) / (s1 - s0), (s - s0) / (s1 - s0)], axis=1)
-        dN = np.array([-1.0, 1.0]) / (s1 - s0)
-        H2 = arm.curvature(s) ** 2
-        idx = (k, k + 1)
+    s0, s1 = cells[:-1, None], cells[1:, None]
+    h = s1 - s0
+    # per cell, hat functions a and b with their derivatives, the 6 Gauss
+    # points on the last axis (the axis np.sum reduces, as the cell loop did)
+    Na = np.stack([(s1 - s) / h, (s - s0) / h], axis=1)[:, :, None, :]
+    dNa = np.concatenate([-1.0 / h, 1.0 / h], axis=1)[:, :, None, None]
+    Nb, dNb = Na.swapaxes(1, 2), dNa.swapaxes(1, 2)
+    ws = (w * speed)[:, None, None, :]
+    local = (np.sum(ws * dNa * dNb / speed[:, None, None, :] ** 2, axis=-1),
+             np.sum(ws * Na * Nb, axis=-1),
+             np.sum((w * speed * H2)[:, None, None, :] * Na * Nb, axis=-1))
+    cell = np.arange(n - 1)
+    out = tuple(np.zeros((n, n)) for _ in local)
+    for A, loc in zip(out, local):
         for a in range(2):
             for b in range(2):
-                K[idx[a], idx[b]] += np.sum(w * speed * dN[a] * dN[b] / speed ** 2)
-                M[idx[a], idx[b]] += np.sum(w * speed * N[:, a] * N[:, b])
-                W[idx[a], idx[b]] += np.sum(w * speed * H2 * N[:, a] * N[:, b])
-    return K, M, W
+                A[cell + a, cell + b] += loc[:, a, b]
+    return out
 
 
 def _basis_matrix(basis, n):
@@ -90,29 +85,16 @@ def _basis_matrix(basis, n):
     return P
 
 
-def assemble_stability_problem(config, u, basis, curves=None, mesh=None,
-                               endpoint_policy="auto"):
-    """(Q, G) for the polarized quadratic form on the given basis.
-
-    Q = -2 V^T A V + 1D(stiffness + H^2 mass) - boundary point terms;
-    G = 1D (mass + stiffness), both reduced to the constrained basis.
-    """
-    arms = curves if curves is not None else config.arms
-    mesh = mesh if mesh is not None else u.mesh
+def _stability_parts(config, u, basis):
+    """What the stability problem of (u, basis) shares between subdomains:
+    the crack loads B of the basis elements (columns), the local form Q1, the
+    boundary point terms Qpt and the Gram matrix G."""
+    arms = config.arms
     n = basis[0].nodal[0].size
-    nb = len(basis)
-    op = mesh._operator if hasattr(mesh, "_operator") else Operator(mesh)
-    mesh._operator = op
-
-    assembler = CrackLoadAssembler(mesh, u, arms, endpoint_policy=endpoint_policy)
-    B = np.empty((mesh.n_nodes, nb))
+    assembler = CrackLoadAssembler(u.mesh, u, arms)
+    B = np.empty((u.mesh.n_nodes, len(basis)))
     for j, phi in enumerate(basis):
         B[:, j] = assembler.rhs(lambda arm_idx, s, pos: phi.eval(arm_idx, s))
-    pinned = transported_pin_set(mesh)
-    V = op.solve_pinned(pinned, np.zeros((pinned.size, nb)), B)
-    E = V.T @ (op.A @ V)                      # int grad v_i . grad v_j
-    E = 0.5 * (E + E.T)
-
     Kf = np.zeros((3 * n, 3 * n))
     Mf = np.zeros((3 * n, 3 * n))
     Wf = np.zeros((3 * n, 3 * n))
@@ -132,11 +114,31 @@ def assemble_stability_problem(config, u, basis, curves=None, mesh=None,
     Epts = end_rows @ P                       # endpoint values of basis elements
     Kpt = np.array([config.contact_normal_curvature(i) for i in range(3)])
     Qpt = -(Epts.T * Kpt) @ Epts
+    return B, Q1, Qpt, 0.5 * (G + G.T)
+
+
+def _stability_matrix(mesh, B, Q1, Qpt):
+    """(Q, E) on the subdomain marked on mesh: E is the Gram matrix of the
+    v_phi fields of the loads B, int grad v_i . grad v_j."""
+    op = mesh_operator(mesh)
+    pinned = transported_pin_set(mesh)
+    V = op.solve_pinned(pinned, np.zeros((pinned.size, B.shape[1])), B)
+    E = V.T @ (op.A @ V)
+    E = 0.5 * (E + E.T)
     Q = -2.0 * E + Q1 + Qpt
-    Q = 0.5 * (Q + Q.T)
-    G = 0.5 * (G + G.T)
-    extras = {"E": E, "operator": op, "assembler": assembler, "V": V, "P": P}
-    return Q, G, extras
+    return 0.5 * (Q + Q.T), E
+
+
+def assemble_stability_problem(config, u, basis):
+    """(Q, G, {"E": E}) for the polarized quadratic form on the given basis.
+
+    Q = -2 E + 1D(stiffness + H^2 mass) - boundary point terms, with E the
+    Gram matrix of the v_phi fields; G = 1D (mass + stiffness), both reduced
+    to the constrained basis.
+    """
+    B, Q1, Qpt, G = _stability_parts(config, u, basis)
+    Q, E = _stability_matrix(u.mesh, B, Q1, Qpt)
+    return Q, G, {"E": E}
 
 
 def stability_verdict(Q, G, margin_rel=1e-6, basis_n=None):
@@ -159,12 +161,11 @@ def stability_verdict(Q, G, margin_rel=1e-6, basis_n=None):
                            basis_n if basis_n is not None else (Q.shape[0] + 1) // 3)
 
 
-def analyze_stability(config, u, n=48, curves=None, mesh=None):
+def analyze_stability(config, u, n=48):
     basis = junction_basis(config, n)
-    Q, G, extras = assemble_stability_problem(config, u, basis, curves, mesh)
+    Q, G, _ = assemble_stability_problem(config, u, basis)
     rep = stability_verdict(Q, G, basis_n=n)
     rep.basis = basis
-    rep.extras = extras
     return rep
 
 
@@ -245,24 +246,25 @@ def oracle_quadrature_value(config, fns, panels=None):
 # tubular-neighborhood criterion
 # ----------------------------------------------------------------------
 
-def tubular_stability_check(config, u, mesh, mu_ladder=(0.2, 0.1, 0.05), n=32,
-                            crit_tol=(1e-3, 1e-3, 1e-3)):
+def tubular_stability_check(config, u, mesh, mu_ladder=(0.2, 0.1, 0.05), n=32):
     """Sign gate H_bdry(x_i) < 0 plus the mu-ladder decay of the nonlocal
     energy supremum; holds when both pass and lambda_min at the smallest mu
     is positive."""
-    ok, crit = is_critical(config, u, crit_tol)
-    if not ok:
+    crit = criticality_residual(config, u)
+    if not all(v < 1e-3 for v in crit):
         raise ConfigError("tubular check requires a critical configuration "
                           "(residuals %s)" % (crit,))
     signs = [config.contact_normal_curvature(i) for i in range(3)]
     sign_gate = all(k < 0 for k in signs)
     basis = junction_basis(config, n)
+    # the marked copies share the geometry of mesh, hence its operator; only
+    # the pin set, and so the factorization, changes along the ladder
+    B, Q1, Qpt, G = _stability_parts(config, u, basis)
     sups = []
     lam_small = None
     for mu in sorted(mu_ladder, reverse=True):
         mesh_mu = mark_admissible_subdomain(mesh, config, mu)
-        Q, G, extras = assemble_stability_problem(config, u, basis, mesh=mesh_mu)
-        Emat = extras["E"]
+        Q, Emat = _stability_matrix(mesh_mu, B, Q1, Qpt)
         wE = sla.eigh(0.5 * (Emat + Emat.T), G, eigvals_only=True)
         sups.append(float(max(wE[-1], 0.0)))
         lam_small = stability_verdict(Q, G, basis_n=n)
@@ -314,8 +316,7 @@ def necessity_probe(config, u, mesh, n=32, n_random=20, seed=0, t_descent=1e-2,
 # uniform coercivity probe along configurations converging to the base one
 # ----------------------------------------------------------------------
 
-def coercivity_continuity_probe(config, u, mesh, fields_and_amplitudes, n=32,
-                                dirichlet_data=None):
+def coercivity_continuity_probe(config, u, mesh, fields_and_amplitudes, n=32):
     """lambda_min along a sequence of transported configurations Phi_n -> Id.
 
     fields_and_amplitudes: list of (VectorField, amplitude); each entry is
@@ -335,35 +336,44 @@ def coercivity_continuity_probe(config, u, mesh, fields_and_amplitudes, n=32,
     |lambda_min(Phi) - lambda_min(Id)|.
     """
     from .fields import rk4_flow
+    from .flows import _c2_distance
     base = analyze_stability(config, u, n=n)
     lam = base.eigvals
     m = int(np.sum(lam - lam[0] <= 1e-3 * (lam[-1] - lam[0])))
+    # each entry flows, in one call with the arm samples of the refit, the
+    # mesh nodes, the junction, the C^2(Gamma) samples and the trace-probe
+    # points at ss and ss + eps on every arm
+    s_c2 = np.linspace(0.0, 1.0, 240)
+    ss = np.linspace(0.02, 0.98, 160)
+    eps = 1e-5
+    c2_pts = [arm.point(s_c2) for arm in config.arms]
+    probe_pts = [arm.point(ss) for arm in config.arms]
+    probe_pts2 = [arm.point(ss + eps) for arm in config.arms]
+    pieces = [mesh.vx, config.junction[None, :]] + c2_pts + probe_pts + probe_pts2
+    cuts = np.cumsum([len(p) for p in pieces[:-1]])
     records = []
     for X, amp in fields_and_amplitudes:
         Xa = X * amp
-        mesh_a = mesh.morph(lambda P: rk4_flow(Xa, P, 1.0))
-        cfg_a = transported_config(config, lambda P: rk4_flow(Xa, P, 1.0))
-        u_a = solve_transported(config, mesh_a, u)
-        rep_a = analyze_stability(cfg_a, u_a, n=n, mesh=mesh_a)
+        img, arms_a = map_with_arms(config, lambda P: rk4_flow(Xa, P, 1.0), 400,
+                                    np.vstack(pieces))
+        vx_a, x0_a, *rest = np.split(img, cuts)
+        c2_img, img, img2 = rest[0:3], rest[3:6], rest[6:9]
+        mesh_a = mesh.with_nodes(vx_a)
+        cfg_a = TripleJunctionConfig(x0_a[0], arms_a, config.outer, config.dirichlet_arcs,
+                                     config.mu, config.tol_tangency)
+        u_a = solve_transported(mesh_a, u)
+        rep_a = analyze_stability(cfg_a, u_a, n=n)
         # closeness of Phi to Id in C^2 measured on Gamma samples
-        from .flows import c2_distance_on_crack
-        dist = c2_distance_on_crack(config, lambda P: rk4_flow(Xa, P, 1.0))
-        # trace-gradient convergence probe
+        dist = _c2_distance(config.arms, [c - p for c, p in zip(c2_img, c2_pts)], s_c2)
+        # trace-gradient convergence probe:
+        # d(u_a o Phi)/darc_base = du_a/darc_img * darc_img/darc_base
         sup_grad = 0.0
-        ss = np.linspace(0.02, 0.98, 160)
         for i in range(3):
-            tp0 = u.trace(i, "plus")
-            tpa = u_a.trace(i, "plus")
-            base_pos = config.arms[i].point(ss)
-            img = rk4_flow(Xa, base_pos, 1.0)
-            s_img, _, _ = cfg_a.arms[i].project(img)
-            # d(u_a o Phi)/darc_base = du_a/darc_img * darc_img/darc_base
-            eps = 1e-5
-            img2 = rk4_flow(Xa, config.arms[i].point(ss + eps), 1.0)
-            darc_ratio = (np.linalg.norm(img2 - img, axis=1)
-                          / np.linalg.norm(config.arms[i].point(ss + eps) - base_pos, axis=1))
-            pullback = tpa.darc(s_img) * darc_ratio
-            sup_grad = max(sup_grad, float(np.max(np.abs(pullback - tp0.darc(ss)))))
+            s_img, _, _ = cfg_a.arms[i].project(img[i])
+            darc_ratio = (np.linalg.norm(img2[i] - img[i], axis=1)
+                          / np.linalg.norm(probe_pts2[i] - probe_pts[i], axis=1))
+            pullback = u_a.trace(i, "plus").darc(s_img) * darc_ratio
+            sup_grad = max(sup_grad, float(np.max(np.abs(pullback - u.trace(i, "plus").darc(ss)))))
         records.append({"amplitude": amp, "lambda_min": rep_a.lam_min,
                         "cluster_gap": float(np.max(np.abs(rep_a.eigvals[:m] - lam[:m]))),
                         "verdict": rep_a.verdict, "c2_dist": dist,

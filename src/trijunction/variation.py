@@ -10,16 +10,15 @@ crack edges (Gauss rule per edge) with geometric frames obtained by
 projecting the quadrature points onto the configured arm splines.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import AdmissibilityError, ConfigError
-from .curves import gauss_legendre
 from .fields import VectorField
-from .fem import solve_shape_derivative, solve_vphi, TraceFn
-from .hspace import JunctionScalar
+from .fem import solve_shape_derivative, solve_vphi, CrackQuadrature, CrackLoadAssembler
+from .hspace import JunctionScalar, gauss_table
 
 
 class VelocityPair:
@@ -59,15 +58,10 @@ class VelocityPair:
         if curve is not None:
             # d(X.nu)/d(arc) via the restriction to the curve: smoother than
             # the ambient-Jacobian formula for fields with C^1 seams
-            key = (arm_idx, id(curve))
-            if not hasattr(self, "_xn_splines"):
-                self._xn_splines = {}
-            if key not in self._xn_splines:
-                g = np.linspace(0.0, 1.0, 800)
-                xng = np.sum(self.X(curve.point(g)) * curve.normal(g), axis=1)
-                self._xn_splines[key] = CubicSpline(g, xng)
+            g = np.linspace(0.0, 1.0, 800)
+            xn_spline = CubicSpline(g, np.sum(self.X(curve.point(g)) * curve.normal(g), axis=1))
             speed = np.linalg.norm(curve.velocity(s), axis=-1)
-            dxn = self._xn_splines[key](s, 1) / speed
+            dxn = xn_spline(s, 1) / speed
         else:
             J = self.X.jac(pos)
             dxn = np.einsum("ni,nij,nj->n", nu, J, tau) + H * xt
@@ -154,7 +148,6 @@ class VariationReport:
     remainder: float = 0.0
     criticality: tuple = (np.nan, np.nan, np.nan)
     endpoint_identification_gap: float = np.nan
-    endpoint_flags: list = field(default_factory=list)
 
     def rows(self):
         return [
@@ -195,62 +188,49 @@ def ms_energy(u, config, region="U", curves=None):
 
 
 # ----------------------------------------------------------------------
-# crack-line quadrature shared by the variation formulas
+# crack-line terms, all read off one CrackQuadrature of (u, arms)
 # ----------------------------------------------------------------------
 
-def _arm_quadrature(config, u, arm_idx, curves=None, order=8):
-    """Quadrature points on one arm with traces and geometric frames."""
-    arms = curves if curves is not None else config.arms
-    arm = arms[arm_idx]
-    up = u.trace(arm_idx, "plus")
-    um = u.trace(arm_idx, "minus")
-    qd = up.edge_quadrature(order)
-    qm = um.edge_quadrature(order)
-    s_star, _, _ = arm.project(qd["pos"])
-    return {
-        "pos": qd["pos"], "w": qd["w"], "s": s_star,
-        "tau": arm.tangent(s_star), "nu": arm.normal(s_star),
-        "H": arm.curvature(s_star),
-        "du_plus": qd["darc"], "du_minus": qm["darc"],
-        "trace_plus": up, "trace_minus": um,
-    }
+def _f_values(q):
+    """f at the Gauss points of one arm of a CrackQuadrature."""
+    return q["du_minus"] ** 2 - q["du_plus"] ** 2 + q["H"]
 
 
-def structure_function_f(config, u, curves=None, order=8):
-    """Per-arm splines of f = |grad_G u^-|^2 - |grad_G u^+|^2 + H."""
-    arms = curves if curves is not None else config.arms
+def _f_splines(quad):
     out = []
-    for i in range(3):
-        q = _arm_quadrature(config, u, i, curves, order)
-        fvals = q["du_minus"] ** 2 - q["du_plus"] ** 2 + q["H"]
+    for q in quad.arms:
         s = q["s"]
         idx = np.argsort(s)
-        s_sorted, f_sorted = s[idx], fvals[idx]
+        s_sorted, f_sorted = s[idx], _f_values(q)[idx]
         s_u, pick = np.unique(np.round(s_sorted, 12), return_index=True)
         out.append(CubicSpline(s_u, f_sorted[pick]))
     return out
 
 
-def f_sup_norm(config, u, curves=None):
-    splines = structure_function_f(config, u, curves)
+def structure_function_f(config, u):
+    """Per-arm splines of f = |grad_G u^-|^2 - |grad_G u^+|^2 + H."""
+    return _f_splines(CrackQuadrature(u, config.arms))
+
+
+def _f_sup(quad):
     s = np.linspace(0.0, 1.0, 600)
-    return float(max(np.max(np.abs(sp(s))) for sp in splines))
+    return float(max(np.max(np.abs(sp(s))) for sp in _f_splines(quad)))
+
+
+def f_sup_norm(config, u):
+    return _f_sup(CrackQuadrature(u, config.arms))
 
 
 # ----------------------------------------------------------------------
 # first and second variation
 # ----------------------------------------------------------------------
 
-def first_variation(config, u, V, curves=None, order=8):
-    """int_G f (X.nu) + sum over the six arc endpoints of X.eta."""
-    arms = curves if curves is not None else config.arms
+def _first_variation(quad, V):
     total = 0.0
-    for i in range(3):
-        q = _arm_quadrature(config, u, i, curves, order)
-        fvals = q["du_minus"] ** 2 - q["du_plus"] ** 2 + q["H"]
+    for i, q in enumerate(quad.arms):
         xn = V.normal_speed(i, q["s"], q["pos"], q["nu"])
-        total += float(np.sum(fvals * xn * q["w"]))
-    for i, arm in enumerate(arms):
+        total += float(np.sum(_f_values(q) * xn * q["w"]))
+    for i, arm in enumerate(quad.curves):
         for s_end, sgn in ((0.0, -1.0), (1.0, 1.0)):
             eta = sgn * arm.tangent(s_end)
             xe, _ = V.endpoint_values(i, arm.point(s_end), eta)
@@ -258,21 +238,29 @@ def first_variation(config, u, V, curves=None, order=8):
     return total
 
 
-def second_variation(config, u, V, curves=None, mesh=None, order=8,
-                     endpoint_policy="auto"):
-    """Full second variation with named summands (see VariationReport)."""
+def first_variation(config, u, V):
+    """int_G f (X.nu) + sum over the six arc endpoints of X.eta."""
+    return _first_variation(CrackQuadrature(u, config.arms), V)
+
+
+def second_variation(config, u, V, curves=None):
+    """Full second variation with named summands (see VariationReport).
+
+    One CrackQuadrature of (u, arms) serves every crack-line term: the
+    shape-derivative load, the local terms, the first variation and the
+    criticality residuals.
+    """
     arms = curves if curves is not None else config.arms
-    dot_u = solve_shape_derivative(config, u, V, curves=arms,
-                                   endpoint_policy=endpoint_policy)
+    assembler = CrackLoadAssembler(u.mesh, u, arms)
+    quad = assembler.quad
+    dot_u = solve_shape_derivative(config, u, V, curves=arms, assembler=assembler)
     rep = VariationReport()
-    rep.endpoint_flags = dot_u.endpoint_report
     rep.dotu_term = -2.0 * dot_u.energy()
     grad_t = curv_t = f_t = 0.0
-    for i in range(3):
-        q = _arm_quadrature(config, u, i, curves, order)
+    for i, q in enumerate(quad.arms):
         xn, xt, zn, dxn = V.arm_values(i, q["s"], q["pos"], q["tau"], q["nu"],
                                        q["H"], curve=arms[i])
-        fvals = q["du_minus"] ** 2 - q["du_plus"] ** 2 + q["H"]
+        fvals = _f_values(q)
         grad_t += float(np.sum(dxn ** 2 * q["w"]))
         curv_t += float(np.sum(q["H"] ** 2 * xn ** 2 * q["w"]))
         f_t += float(np.sum(fvals * (zn - 2 * xt * dxn + q["H"] * xt ** 2
@@ -289,9 +277,9 @@ def second_variation(config, u, V, curves=None, mesh=None, order=8,
     rep.endpoint_term = end_t
     rep.second_variation = (rep.dotu_term + rep.grad_term + rep.curvature_term
                             + rep.f_term + rep.endpoint_term)
-    rep.first_variation = first_variation(config, u, V, curves, order)
+    rep.first_variation = _first_variation(quad, V)
     rep.energy_total, rep.energy_bulk, rep.energy_length = ms_energy(u, config, "U", curves)
-    rep.criticality = criticality_residual(config, u, curves)
+    rep.criticality = _criticality_residual(config, quad)
     # gap between the two endpoint-term conventions at orthogonal contact
     gap = 0.0
     for i, arm in enumerate(arms):
@@ -304,17 +292,16 @@ def second_variation(config, u, V, curves=None, mesh=None, order=8,
     return rep
 
 
-def criticality_residual(config, u, curves=None):
-    """(sup |f|, max junction-angle defect, max contact-angle defect)."""
+def _criticality_residual(config, quad):
     m = config.metrics()
-    return (f_sup_norm(config, u, curves),
+    return (_f_sup(quad),
             float(np.max(np.abs(m["junction_angles"] - 2 * np.pi / 3))),
             float(np.max(np.abs(m["contact_angles"] - np.pi / 2))))
 
 
-def is_critical(config, u, tol=(1e-3, 1e-3, 1e-3), curves=None):
-    r = criticality_residual(config, u, curves)
-    return all(v < t for v, t in zip(r, tol)), r
+def criticality_residual(config, u):
+    """(sup |f|, max junction-angle defect, max contact-angle defect)."""
+    return _criticality_residual(config, CrackQuadrature(u, config.arms))
 
 
 # ----------------------------------------------------------------------
@@ -322,27 +309,20 @@ def is_critical(config, u, tol=(1e-3, 1e-3, 1e-3), curves=None):
 # ----------------------------------------------------------------------
 
 def quadratic_form(config, u, phi, curves=None, enforce_constraint=True,
-                   return_parts=False, endpoint_policy="auto", vphi=None):
+                   return_parts=False, vphi=None):
     """-2 int |grad v_phi|^2 + int |grad_G phi|^2 + int H^2 phi^2
     - sum_i phi_i(x_i)^2 Dnu_bdry[nu, nu](x_i)."""
     arms = curves if curves is not None else config.arms
     if enforce_constraint and abs(phi.junction_sum()) > 1e-12:
         raise ConfigError("junction constraint violated by phi")
-    v = vphi if vphi is not None else solve_vphi(config, u, phi, curves=arms,
-                                                 endpoint_policy=endpoint_policy)
+    v = vphi if vphi is not None else solve_vphi(config, u, phi, curves=arms)
     nonlocal_t = -2.0 * v.energy()
     grad_t = curv_t = 0.0
-    xg, wg = gauss_legendre(6)
     for i, arm in enumerate(arms):
-        L = arm.length
-        n = phi.nodal[i].size
-        cells = np.linspace(0.0, 1.0, n)
-        s = (cells[:-1, None] + np.diff(cells)[:, None] * xg[None, :]).ravel()
-        w = (np.diff(cells)[:, None] * wg[None, :]).ravel()
-        speed = np.linalg.norm(arm.velocity(s), axis=-1)
+        s, w, speed, H2 = (a.ravel() for a in gauss_table(arm, phi.nodal[i].size))
         dphi = phi.deriv_param(i, s) / speed
         grad_t += float(np.sum(dphi ** 2 * w * speed))
-        curv_t += float(np.sum(arm.curvature(s) ** 2 * phi.eval(i, s) ** 2 * w * speed))
+        curv_t += float(np.sum(H2 * phi.eval(i, s) ** 2 * w * speed))
     bdry_t = 0.0
     for i in range(3):
         bdry_t -= phi.nodal[i][-1] ** 2 * config.contact_normal_curvature(i)
@@ -364,17 +344,16 @@ def normal_speed_scalar(config, V, n=65, curves=None):
     return phi
 
 
-def second_variation_remainder(config, u, V, curves=None, mesh=None, n=65,
-                               report=None):
+def second_variation_remainder(config, u, V, n=65):
     """R = d^2/dt^2 MS - quadratic_form(X.nu); vanishes at criticality.
 
     When V carries its defining normal-speed scalar (test fields do), the
     quadratic form evaluates that exact function instead of a resampled one.
     """
-    rep = report if report is not None else second_variation(config, u, V, curves, mesh)
+    rep = second_variation(config, u, V)
     phi = getattr(V, "phi", None)
     if phi is None:
-        phi = normal_speed_scalar(config, V, n, curves)
-    qf = quadratic_form(config, u, phi, curves, enforce_constraint=False)
+        phi = normal_speed_scalar(config, V, n)
+    qf = quadratic_form(config, u, phi, enforce_constraint=False)
     rep.remainder = rep.second_variation - qf
     return rep.remainder, rep, qf

@@ -77,6 +77,7 @@ def test_criterion_02_divergence_and_area(rng):
             "div %.2e, area %.2e" % (worst_div, worst_area), t0)
 
 
+@pytest.mark.slow
 def test_criterion_03_first_variation_oracle():
     t0 = time.time()
     cfg = bent_arm_config(bend=0.12)
@@ -171,6 +172,7 @@ def test_criterion_05_second_variation_oracle(trilobe):
                 np.asarray(Rs), formatter={"all": lambda v: "%.1e" % v})), t0)
 
 
+@pytest.mark.slow
 def test_criterion_06_quadratic_form_oracle(disk):
     t0 = time.time()
     cfg, mesh, u = disk
@@ -191,6 +193,7 @@ def test_criterion_06_quadratic_form_oracle(disk):
             "eigenvalue gap %.2e, functional gap %.2e" % (eig_gap, val_gap), t0)
 
 
+@pytest.mark.slow
 def test_criterion_07_connecting_family(trilobe):
     t0 = time.time()
     cfg, mesh, u = trilobe
@@ -235,6 +238,7 @@ def test_criterion_07_connecting_family(trilobe):
     _report(7, "connecting-family estimates", ok, "; ".join(details), t0)
 
 
+@pytest.mark.slow
 def test_criterion_08_minimality_sweep(trilobe, rng):
     t0 = time.time()
     cfg, mesh, u = trilobe

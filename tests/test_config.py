@@ -5,13 +5,13 @@ import pytest
 
 from trijunction import (TripleJunctionConfig, ParamCurve, ConfigError,
                          disk_config, trilobe_config, bent_arm_config,
-                         junction_metrics, save_config, load_config)
+                         save_config, load_config)
 from trijunction.config import config_to_text
 
 
 def test_disk_metrics():
     cfg = disk_config()
-    m = junction_metrics(cfg)
+    m = cfg.metrics()
     assert np.allclose(m["junction_angles"], 2 * np.pi / 3, atol=1e-10)
     assert m["junction_angles"].sum() == pytest.approx(2 * np.pi)
     assert np.allclose(m["contact_angles"], np.pi / 2, atol=1e-7)
@@ -22,7 +22,7 @@ def test_disk_metrics():
 
 def test_trilobe_concave_contacts():
     cfg = trilobe_config()
-    m = junction_metrics(cfg)
+    m = cfg.metrics()
     assert np.allclose(m["contact_angles"], np.pi / 2, atol=1e-6)
     assert np.all(m["boundary_curvatures"] < -0.5)
 
@@ -32,7 +32,7 @@ def test_perturbed_arm_angle():
     da = 0.1
     angles = (np.pi / 2 + da, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)
     cfg2 = disk_config(arm_angles=angles)
-    m = junction_metrics(cfg2)
+    m = cfg2.metrics()
     gaps = np.sort(m["junction_angles"])
     expect = np.sort([2 * np.pi / 3 - da, 2 * np.pi / 3, 2 * np.pi / 3 + da])
     assert np.allclose(gaps, expect, atol=1e-10)
@@ -97,5 +97,5 @@ def test_orientation_convention():
 
 def test_bent_arm_is_noncritical():
     cfg = bent_arm_config(bend=0.12)
-    m = junction_metrics(cfg)
+    m = cfg.metrics()
     assert np.max(np.abs(m["junction_angles"] - 2 * np.pi / 3)) > 0.05

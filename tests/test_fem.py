@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,14 @@ from trijunction import (disk_config, generate_crack_mesh, mark_admissible_subdo
                          solve_vphi, SectorConstants, CrackField, Operator,
                          refine_uniform, prolong, SolveError, JunctionScalar,
                          VectorField, VelocityPair, radial_bump, rk4_flow,
-                         ParamCurve, assemble_boundary_load)
-from trijunction.fem import Assembly, CrackLoadAssembler, transported_pin_set
+                         ParamCurve, assemble_boundary_load, CrackMesh)
+from trijunction.fem import (Assembly, CrackLoadAssembler, CrackQuadrature,
+                             mesh_operator, transported_pin_set)
 
 
 def test_sector_constants_exact(disk):
     cfg, mesh, u = disk
-    op = mesh._operator
+    op = mesh_operator(mesh)
     for s, c in zip(range(3), [1.0, 2.0, 3.0]):
         vals = u.values[op.node_sector == s]
         assert np.max(np.abs(vals - c)) < 1e-11
@@ -41,7 +44,7 @@ def test_continuous_field_has_equal_traces(disk):
 
 def test_galerkin_orthogonality(disk):
     cfg, mesh, u = disk
-    op = mesh._operator
+    op = mesh_operator(mesh)
     free = np.setdiff1d(np.arange(mesh.n_nodes), mesh.dirichlet_nodes())
     assert np.max(np.abs((op.A @ u.values)[free])) < 1e-10
 
@@ -93,7 +96,7 @@ def test_energy_rate_manufactured():
 
 def test_empty_dirichlet_rejected(disk):
     cfg, mesh, _ = disk
-    op = mesh._operator
+    op = mesh_operator(mesh)
     with pytest.raises(SolveError):
         op.solve_pinned(np.array([], dtype=int), np.array([]))
 
@@ -114,7 +117,7 @@ def test_transported_identity(disk):
     cfg, mesh, u = disk
     ux = solve_equilibrium(cfg, mesh, lambda P: P[:, 0])
     mesh_t = mesh.morph(lambda P: P)
-    u_t = solve_transported(cfg, mesh_t, ux)
+    u_t = solve_transported(mesh_t, ux)
     assert np.max(np.abs(u_t.values - ux.values)) < 1e-9
 
 
@@ -123,7 +126,7 @@ def test_transported_constants_stay_optimal(disk, rng):
     c = cfg.arms[0].point(0.5)
     X = VectorField(lambda P: radial_bump(P, c, 0.02, 0.15)[:, None] @ np.array([[0.05, 0.02]]))
     mesh_t = mesh.morph(lambda P: rk4_flow(X, P, 1.0))
-    u_t = solve_transported(cfg, mesh_t, u)
+    u_t = solve_transported(mesh_t, u)
     assert u_t.energy() < 1e-18
 
 
@@ -133,14 +136,14 @@ def test_transported_galerkin_optimality(disk, rng):
     c = cfg.arms[0].point(0.5)
     X = VectorField(lambda P: radial_bump(P, c, 0.02, 0.15)[:, None] @ np.array([[0.05, 0.02]]))
     mesh_t = mesh.morph(lambda P: rk4_flow(X, P, 1.0))
-    u_t = solve_transported(cfg, mesh_t, ux)
+    u_t = solve_transported(mesh_t, ux)
     e_min = u_t.energy()
     pinned = transported_pin_set(mesh_t)
     free = np.setdiff1d(np.arange(mesh_t.n_nodes), pinned)
     for _ in range(10):
         w = np.zeros(mesh_t.n_nodes)
         w[free] = 1e-3 * rng.standard_normal(free.size)
-        trial = CrackField(mesh_t, u_t.values + w, mesh_t._operator)
+        trial = CrackField(mesh_t, u_t.values + w, mesh_operator(mesh_t))
         assert trial.energy() >= e_min - 1e-12
 
 
@@ -172,9 +175,9 @@ def test_shape_derivative_transport_fd(bent, rng):
     for sign in (+1, -1):
         mp = lambda P, sign=sign: rk4_flow(V.X, P, sign * t)
         mesh_t = mesh.morph(mp)
-        fields[sign] = solve_transported(cfg, mesh_t, u)
+        fields[sign] = solve_transported(mesh_t, u)
     # probe points inside U, away from the (moving) crack
-    op = mesh._operator
+    op = mesh_operator(mesh)
     probes = []
     for s in range(3):
         nodes = np.where((op.node_sector == s) & mesh.vertex_mask)[0]
@@ -251,7 +254,7 @@ def test_pairing_symmetry(bent, rng):
 def test_jump_recovery(disk):
     """A manufactured inter-sector jump is reproduced by the traces."""
     cfg, mesh, u = disk
-    op = mesh._operator
+    op = mesh_operator(mesh)
     vals = np.zeros(mesh.n_nodes)
     for s in range(3):
         sel = op.node_sector == s
@@ -284,3 +287,59 @@ def test_boundary_load_constant():
     # total Neumann mass = length of the non-Dirichlet boundary
     dir_len = sum((b_ - a_) for (a_, b_) in cfg.dirichlet_arcs) * cfg.outer.length
     assert b.sum() == pytest.approx(cfg.outer.length - dir_len, rel=1e-6)
+
+
+def test_marked_copy_shares_the_operator(disk):
+    """A marked copy has the nodes, connectivity and sectors of its source,
+    so it shares their stiffness operator, whichever of the two builds it;
+    a mesh with other nodes starts with none."""
+    cfg, mesh, _ = disk
+    marked = mark_admissible_subdomain(mesh, cfg, 0.15)
+    assert marked.vx is mesh.vx
+    assert mesh_operator(marked) is mesh_operator(mesh)
+    coarse = generate_crack_mesh(cfg, 0.12)
+    coarse_marked = mark_admissible_subdomain(coarse, cfg, cfg.mu)
+    assert mesh_operator(coarse_marked) is mesh_operator(coarse)
+    for other in (coarse.with_nodes(coarse.vx.copy()), coarse.morph(lambda P: P),
+                  refine_uniform(coarse), CrackMesh.restore(io.StringIO(coarse.dump_text()))):
+        assert not other.operator_slot
+        assert mesh_operator(other) is not mesh_operator(coarse)
+
+
+def _jump_indicator_loop(tf):
+    """The edge loop that TraceFn.derivative_jump_indicator replaced."""
+    sv = tf.s[::2]
+    jumps = []
+    for e in range(tf.n_edges - 1):
+        left = tf.darc(np.array([sv[e + 1] - 1e-12]))[0]
+        right = tf.darc(np.array([sv[e + 1] + 1e-12]))[0]
+        jumps.append(abs(left - right))
+    return float(np.median(jumps))
+
+
+def test_derivative_jump_indicator_matches_edge_loop(disk, trilobe, bent):
+    """Bitwise, on every arm side of the three configurations and of a
+    refined mesh, whose plus and minus midnodes can differ in the last bit."""
+    cfg, mesh, u = bent
+    coarse = generate_crack_mesh(cfg, 0.1)
+    fine = refine_uniform(coarse)
+    refined = prolong(solve_equilibrium(cfg, coarse, lambda P: P[:, 0]), fine)
+    for f in (disk[2], trilobe[2], u, refined):
+        for i in range(3):
+            for tf in f.traces(i):
+                assert tf.derivative_jump_indicator() == _jump_indicator_loop(tf)
+
+
+def test_crack_side_projection_is_the_separate_projections(bent):
+    """Each arm side projects its Gauss points and its two endpoints in one
+    call; the parameters equal those of projecting each set alone, on a
+    generated and on a refined mesh."""
+    cfg, mesh, u = bent
+    coarse = generate_crack_mesh(cfg, 0.1)
+    refined = prolong(solve_equilibrium(cfg, coarse, lambda P: P[:, 0]), refine_uniform(coarse))
+    for f in (u, refined):
+        for side in CrackQuadrature(f, cfg.arms).sides:
+            arm = cfg.arms[side.arm]
+            assert np.array_equal(side.s, arm.project(side.pos)[0])
+            for end in side.ends:
+                assert end["s"] == arm.project(end["pos"])[0][0]

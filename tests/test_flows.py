@@ -362,7 +362,7 @@ def test_energy_at_map_flows_once(trilobe, trilobe_catalog):
     ss = np.linspace(0.0, 1.0, 320)
     arms_ref = [ParamCurve.from_samples(mp(arm.point(ss)), flag=arm.flag) for arm in cfg.arms]
     mesh_ref = mesh.morph(mp)
-    u_ref = solve_transported(cfg, mesh_ref, u)
+    u_ref = solve_transported(mesh_ref, u)
     assert e == ms_energy(u_ref, cfg, "U", curves=arms_ref)[0]
     assert np.array_equal(mesh_t.vx, mesh_ref.vx)
     assert np.array_equal(u_t.values, u_ref.values)

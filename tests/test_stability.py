@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from trijunction import (junction_basis, combine, JunctionScalar, quadratic_form,
                          assemble_stability_problem, stability_verdict,
@@ -7,8 +8,13 @@ from trijunction import (junction_basis, combine, JunctionScalar, quadratic_form
                          necessity_probe, coercivity_continuity_probe,
                          solve_equilibrium, solve_vphi, SectorConstants,
                          VectorField, radial_bump, ConfigError, SolveError,
-                         mark_admissible_subdomain)
+                         mark_admissible_subdomain, generate_crack_mesh,
+                         trilobe_config, CrackField, solve_transported,
+                         transported_config, c2_distance_on_crack, rk4_flow)
+from trijunction import fem, fields
+from trijunction.curves import gauss_legendre
 from trijunction.hspace import combine as combine_basis
+from trijunction.stability import _arm_1d_matrices
 
 
 def test_basis_dimensions_and_constraint(disk):
@@ -170,3 +176,117 @@ def test_coercivity_continuity(trilobe):
     # sector-constant data: trace gradients are roundoff; either the decay
     # trend holds or everything is at noise level
     assert all(s < 1e-9 for s in sups) or sups[0] >= sups[1] >= sups[2] - 1e-12
+
+
+def _arm_1d_matrices_loop(arm, n):
+    """The cell loop that stability._arm_1d_matrices replaced."""
+    xg, wg = gauss_legendre(6)
+    cells = np.linspace(0.0, 1.0, n)
+    K = np.zeros((n, n))
+    M = np.zeros((n, n))
+    W = np.zeros((n, n))
+    for k in range(n - 1):
+        s0, s1 = cells[k], cells[k + 1]
+        s = s0 + xg * (s1 - s0)
+        w = wg * (s1 - s0)
+        speed = np.linalg.norm(arm.velocity(s), axis=-1)
+        N = np.stack([(s1 - s) / (s1 - s0), (s - s0) / (s1 - s0)], axis=1)
+        dN = np.array([-1.0, 1.0]) / (s1 - s0)
+        H2 = arm.curvature(s) ** 2
+        idx = (k, k + 1)
+        for a in range(2):
+            for b in range(2):
+                K[idx[a], idx[b]] += np.sum(w * speed * dN[a] * dN[b] / speed ** 2)
+                M[idx[a], idx[b]] += np.sum(w * speed * N[:, a] * N[:, b])
+                W[idx[a], idx[b]] += np.sum(w * speed * H2 * N[:, a] * N[:, b])
+    return K, M, W
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_arm_1d_matrices_match_cell_loop(disk, trilobe, bent, n):
+    for cfg, _, _ in (disk, trilobe, bent):
+        for arm in cfg.arms:
+            for got, want in zip(_arm_1d_matrices(arm, n), _arm_1d_matrices_loop(arm, n)):
+                assert np.array_equal(got, want)
+
+
+def test_tubular_ladder_shares_one_operator(monkeypatch):
+    """The mu ladder marks copies of one mesh: one Operator serves the
+    equilibrium solve and every rung, and each rung's figures are bitwise
+    those of a freshly generated and marked mesh with its own operator."""
+    cfg = trilobe_config()
+    mesh = mark_admissible_subdomain(generate_crack_mesh(cfg, 0.05), cfg, cfg.mu)
+    built = []
+    init = fem.Operator.__init__
+
+    def counted(self, m):
+        built.append(m)
+        init(self, m)
+    monkeypatch.setattr(fem.Operator, "__init__", counted)
+    u = solve_equilibrium(cfg, mesh, SectorConstants([1.0, 2.0, 3.0]))
+    ladder, n = (0.2, 0.1, 0.05), 16
+    out = tubular_stability_check(cfg, u, mesh, mu_ladder=ladder, n=n)
+    assert len(built) == 1
+    basis = junction_basis(cfg, n)
+    for mu, sup in zip(ladder, out["sup_vphi_energy"]):
+        fresh = mark_admissible_subdomain(generate_crack_mesh(cfg, 0.05), cfg, mu)
+        Q, G, extras = assemble_stability_problem(cfg, CrackField(fresh, u.values), basis)
+        E = extras["E"]
+        assert sup == float(max(sla.eigh(0.5 * (E + E.T), G, eigvals_only=True)[-1], 0.0))
+    assert out["lambda_min_smallest_mu"] == stability_verdict(Q, G, basis_n=n).lam_min
+    assert len(built) == 1 + len(ladder)
+
+
+def _coercivity_records_nine_flows(config, u, mesh, fields_and_amplitudes, n, m, lam):
+    """The records of coercivity_continuity_probe from its loop before each
+    entry flowed its points in one call: nine flows of the entry's field."""
+    records = []
+    for X, amp in fields_and_amplitudes:
+        Xa = X * amp
+        mesh_a = mesh.morph(lambda P: rk4_flow(Xa, P, 1.0))
+        cfg_a = transported_config(config, lambda P: rk4_flow(Xa, P, 1.0))
+        u_a = solve_transported(mesh_a, u)
+        rep_a = analyze_stability(cfg_a, u_a, n=n)
+        dist = c2_distance_on_crack(config, lambda P: rk4_flow(Xa, P, 1.0))
+        sup_grad = 0.0
+        ss = np.linspace(0.02, 0.98, 160)
+        for i in range(3):
+            tp0 = u.trace(i, "plus")
+            tpa = u_a.trace(i, "plus")
+            base_pos = config.arms[i].point(ss)
+            img = rk4_flow(Xa, base_pos, 1.0)
+            s_img, _, _ = cfg_a.arms[i].project(img)
+            eps = 1e-5
+            img2 = rk4_flow(Xa, config.arms[i].point(ss + eps), 1.0)
+            darc_ratio = (np.linalg.norm(img2 - img, axis=1)
+                          / np.linalg.norm(config.arms[i].point(ss + eps) - base_pos, axis=1))
+            pullback = tpa.darc(s_img) * darc_ratio
+            sup_grad = max(sup_grad, float(np.max(np.abs(pullback - tp0.darc(ss)))))
+        records.append({"amplitude": amp, "lambda_min": rep_a.lam_min,
+                        "cluster_gap": float(np.max(np.abs(rep_a.eigvals[:m] - lam[:m]))),
+                        "verdict": rep_a.verdict, "c2_dist": dist,
+                        "trace_grad_sup": sup_grad})
+    return records
+
+
+def test_coercivity_probe_flows_each_entry_once(bent, monkeypatch):
+    cfg, mesh, u = bent
+    c = cfg.arms[0].point(0.5)
+    X = VectorField(lambda P: radial_bump(P, c, 0.02, 0.7 * cfg.mu)[:, None]
+                    * np.array([0.8, 0.3]))
+    entries = [(X, 1e-1), (X, 1e-3)]
+    n = 12
+    flows = []
+    flow = fields.rk4_flow
+
+    def counted(field, P, t):
+        flows.append(len(P))
+        return flow(field, P, t)
+    monkeypatch.setattr(fields, "rk4_flow", counted)
+    out = coercivity_continuity_probe(cfg, u, mesh, entries, n=n)
+    monkeypatch.undo()
+    assert len(flows) == len(entries)
+    lam = analyze_stability(cfg, u, n=n).eigvals
+    assert out["records"] == _coercivity_records_nine_flows(
+        cfg, u, mesh, entries, n, out["cluster_size"], lam)
+    assert out["records"][0]["trace_grad_sup"] > 1e-6

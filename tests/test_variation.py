@@ -39,9 +39,9 @@ def test_structure_function(disk, bent):
     assert np.max(np.abs(splines[0](s) - cfgb.arms[0].curvature(s))) < 5e-4
     # accounting identity at the quadrature samples: exact recombination
     ub2 = solve_equilibrium(cfgb, meshb, lambda P: P[:, 0])
-    from trijunction.variation import _arm_quadrature
+    from trijunction.fem import CrackQuadrature
     spl2 = structure_function_f(cfgb, ub2)
-    q = _arm_quadrature(cfgb, ub2, 0)
+    q = CrackQuadrature(ub2, cfgb.arms).arms[0]
     recomb = q["du_minus"] ** 2 - q["du_plus"] ** 2 + q["H"]
     assert np.max(np.abs(spl2[0](q["s"]) - recomb)) < 1e-11
 
@@ -202,3 +202,21 @@ def test_endpoint_identification_gap(trilobe):
     V = _interior_bump(cfg)
     rep = second_variation(cfg, u, V)
     assert rep.endpoint_identification_gap < 1e-8
+
+
+def test_second_variation_projects_each_arm_side_once(bent, monkeypatch):
+    """One CrackQuadrature serves the load, the local terms, the first
+    variation and the criticality residuals: each of the six arm sides is
+    projected onto its arm at most once."""
+    cfg, mesh, u = bent
+    V = _interior_bump(cfg)
+    calls = []
+    project = ParamCurve.project
+
+    def counted(curve, x, *args, **kwargs):
+        calls.append(curve)
+        return project(curve, x, *args, **kwargs)
+    monkeypatch.setattr(ParamCurve, "project", counted)
+    second_variation(cfg, u, V)
+    assert len(calls) <= 6
+    assert all(sum(c is arm for c in calls) <= 2 for arm in cfg.arms)
