@@ -17,13 +17,12 @@ from .errors import (TrijunctionError, ConfigError, GeometryError, MeshError,
                      SolveError, AdmissibilityError)
 from .config import load_config
 from .crackmesh import generate_crack_mesh, mark_admissible_subdomain
-from .fem import solve_equilibrium, SectorConstants
+from .fem import solve_equilibrium, SectorConstants, CrackQuadrature
 from .fields import VectorField, radial_bump
 from .hspace import JunctionScalar, junction_basis, combine
-from .variation import (VelocityPair, first_variation, second_variation,
-                        criticality_residual, ms_energy, second_variation_remainder)
-from .stability import (analyze_stability, oracle_1d, tubular_stability_check,
-                        necessity_probe)
+from .variation import (VelocityPair, first_variation, second_variation, ms_energy,
+                        second_variation_remainder, _criticality_residual, _first_variation)
+from .stability import analyze_stability, tubular_stability_check
 from .identities import canonical_identity_suite
 from . import flows
 
@@ -181,11 +180,13 @@ def run_criticality(scn):
     cfg, mesh, u, data_label = _setup(scn)
     rep = Report(scn, "criticality")
     rep.add("dirichlet data: %s" % data_label)
-    res = criticality_residual(cfg, u)
+    # one crack quadrature of (u, arms) serves the residuals and every field
+    quad = CrackQuadrature(u, cfg.arms)
+    res = _criticality_residual(cfg, quad)
     rep.add("criticality residuals: f_inf=%.3e angle=%.3e contact=%.3e" % res)
     rng = np.random.default_rng(scn.seed)
     fields = _random_admissible_fields(cfg, rng, 8, scn.n)
-    fv = [first_variation(cfg, u, V) for V in fields]
+    fv = [_first_variation(quad, V) for V in fields]
     rep.add("max |first variation| over %d fields: %.3e" % (len(fv), max(map(abs, fv))))
     rep.assert_(res[0] < 1e-3 and res[1] < 1e-3 and res[2] < 1e-3,
                 "criticality residuals below (1e-3, 1e-3, 1e-3)")

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
-from .errors import SolveError, AdmissibilityError
+from .errors import SolveError, AdmissibilityError, MeshError
 from .crackmesh import DIRICHLET, NEU_OUTER
 from .curves import gauss_legendre
 
@@ -217,9 +217,9 @@ class CrackField:
             self._locators[sector] = (sel, cKDTree(cen))
         return self._locators[sector]
 
-    def _locate(self, P, sector, k=20):
+    def _locate(self, P, sector):
         sel, tree = self._locator(sector)
-        _, cand = tree.query(P, k=min(k, len(sel)))
+        _, cand = tree.query(P, k=min(20, len(sel)))
         cand = np.atleast_2d(cand)
         tris = self.mesh.tris[sel]
         V = self.mesh.vx
@@ -241,9 +241,9 @@ class CrackField:
             best_xi[better] = np.stack([xi, eta], axis=1)[better]
         return sel[best_t], best_xi, best_q
 
-    def _newton_refine(self, P, telem, xi, iters=4):
+    def _newton_refine(self, P, telem, xi):
         X = self.mesh.vx[self.mesh.tris[telem]]
-        for _ in range(iters):
+        for _ in range(4):
             N, dN = p2_basis(xi[:, 0], xi[:, 1])
             pos = np.einsum("na,nad->nd", N, X)
             J = np.einsum("nak,nad->ndk", dN, X)
@@ -585,12 +585,12 @@ def solve_vphi(config, u, phi, curves=None, assembler=None):
                               lambda arm_idx, s, pos: phi.eval(arm_idx, s))
 
 
-def assemble_boundary_load(mesh, g, tags=(NEU_OUTER,), order=8):
-    """int_boundary g z ds over boundary edges with the given tags."""
-    xg, wg = gauss_legendre(order)
+def assemble_boundary_load(mesh, g):
+    """int_boundary g z ds over the Neumann edges of the outer boundary."""
+    xg, wg = gauss_legendre(8)
     b = np.zeros(mesh.n_nodes)
     for (na, mid, nb, tag, ta, tb) in mesh.bdry:
-        if tag not in tags:
+        if tag != NEU_OUTER:
             continue
         ids = np.array([na, mid, nb])
         X = mesh.vx[ids]
@@ -616,64 +616,69 @@ _CHILD_REF = [
     [(0, 0.5), (0.5, 0.5), (0, 1), (0.25, 0.5), (0.25, 0.75), (0, 0.75)],
     [(0.5, 0.5), (0, 0.5), (0.5, 0), (0.25, 0.5), (0.25, 0.25), (0.5, 0.25)],
 ]
+_REF6 = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5)]
+# parent shape functions at the six parent nodes and at the six nodes of
+# each child, and the child corners as parent local nodes
+_N_REF6 = p2_basis(*np.array(_REF6).T)[0]                            # (6, 6)
+_N_CHILD = p2_basis(*np.array(_CHILD_REF, float).transpose(2, 0, 1))[0]  # (4, 6, 6)
+_CHILD_CORNERS = np.array([[_REF6.index(pt) for pt in child[:3]] for child in _CHILD_REF])
+
+
+def _first_occurrence(keys):
+    """(unique keys, their positions of first occurrence in keys, the rank
+    of each unique key in order of first occurrence, inverse of keys)."""
+    uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return uniq, first[order], rank, inv
 
 
 def refine_uniform(mesh):
-    """One level of red refinement with exactly nested P2 geometry."""
+    """One level of red refinement with exactly nested P2 geometry.
+
+    The refined vertices are the parent nodes in order of first occurrence in
+    mesh.tris; the new midnodes follow in order of first occurrence over
+    (triangle, child, child edge).  Each node sits at the parent quadratic
+    map evaluated at its first occurrence.
+    """
     from .crackmesh import CrackMesh
 
-    key_to_id = {}
-    new_xy = []
+    tris = mesh.tris
+    parents, first, rank, _ = _first_occurrence(tris.ravel())
+    n_vertex = parents.size
+    new_id = np.zeros(mesh.n_nodes, dtype=int)
+    new_id[parents] = rank
+    t, a = np.divmod(first, 6)
+    vx_vertex = (_N_REF6[a][:, None, :] @ mesh.vx[tris[t]])[:, 0, :]
+    # child edge k joins child corners k and k + 1; its key is (min, max)
+    corners = new_id[tris[:, _CHILD_CORNERS]]                        # (nt, 4, 3)
+    ends = np.stack([corners, np.roll(corners, -1, axis=-1)], axis=-1)
+    keys = (ends.min(axis=-1) * n_vertex + ends.max(axis=-1)).ravel()
+    edge_keys, first, rank, inv = _first_occurrence(keys)
+    edge_id = n_vertex + rank
+    t, ck = np.divmod(first, 12)
+    vx_mid = (_N_CHILD[:, 3:].reshape(12, 6)[ck][:, None, :] @ mesh.vx[tris[t]])[:, 0, :]
+    vx = np.vstack([vx_vertex, vx_mid])
+    tris_new = np.concatenate([corners, edge_id[inv].reshape(corners.shape)],
+                              axis=-1).reshape(-1, 6)
 
-    def node_at(parent_tri, ref_pt, key):
-        if key in key_to_id:
-            return key_to_id[key]
-        N, _ = p2_basis(*ref_pt)
-        xy = N @ mesh.vx[mesh.tris[parent_tri]]
-        key_to_id[key] = len(new_xy)
-        new_xy.append(xy)
-        return key_to_id[key]
-
-    # corner vertices of children: parent corners + parent midnodes
-    tris_new = []
-    sec_new = []
-    ref6 = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5)]
-    # first pass: all child corners (global by parent node id)
-    for t in range(mesh.n_tris):
-        for a in range(6):
-            node_at(t, ref6[a], ("p", int(mesh.tris[t, a])))
-    n_vertex_new = len(new_xy)
-    for t in range(mesh.n_tris):
-        for child in _CHILD_REF:
-            conn = []
-            for pt in child[:3]:
-                # map child corner ref to a parent node key
-                idx = ref6.index(pt)
-                conn.append(key_to_id[("p", int(mesh.tris[t, idx]))])
-            for k, pt in enumerate(child[3:]):
-                a, bnode = conn[k], conn[(k + 1) % 3]
-                ekey = ("e", min(a, bnode), max(a, bnode))
-                conn.append(node_at(t, pt, ekey))
-            tris_new.append(conn)
-            sec_new.append(mesh.sector[t])
-    vx = np.asarray(new_xy)
-    tris = np.asarray(tris_new, dtype=int)
-    sector = np.asarray(sec_new, dtype=int)
+    def midnode(a, b):
+        key = np.minimum(a, b) * n_vertex + np.maximum(a, b)
+        j = np.searchsorted(edge_keys, key)
+        if np.any(j == edge_keys.size) or np.any(edge_keys[j] != key):
+            raise MeshError("crack or boundary edge is no edge of the mesh")
+        return edge_id[j]
 
     def remap_chain(ids, s_params):
-        """Refined crack chain: old vertices and midnodes become vertices;
-        new midnodes are looked up through the edge keys."""
-        out_ids = []
-        out_s = []
-        for k in range(len(ids) - 1):
-            a = key_to_id[("p", int(ids[k]))]
-            bnode = key_to_id[("p", int(ids[k + 1]))]
-            ekey = ("e", min(a, bnode), max(a, bnode))
-            out_ids.extend([a, key_to_id[ekey]])
-            out_s.extend([s_params[k], 0.5 * (s_params[k] + s_params[k + 1])])
-        out_ids.append(key_to_id[("p", int(ids[-1]))])
-        out_s.append(s_params[-1])
-        return np.asarray(out_ids, dtype=int), np.asarray(out_s)
+        """Refined crack chain: old vertices and midnodes become vertices,
+        the new midnodes sit between them."""
+        v = new_id[ids]
+        out_ids = np.empty(2 * v.size - 1, dtype=int)
+        out_s = np.empty(out_ids.size)
+        out_ids[0::2], out_ids[1::2] = v, midnode(v[:-1], v[1:])
+        out_s[0::2], out_s[1::2] = s_params, 0.5 * (s_params[:-1] + s_params[1:])
+        return out_ids, out_s
 
     crack = []
     for rec in mesh.crack:
@@ -682,48 +687,32 @@ def refine_uniform(mesh):
         crack.append({"s": p_s, "plus": p_ids, "minus": m_ids,
                       "plus_sector": rec.get("plus_sector"),
                       "minus_sector": rec.get("minus_sector")})
-    junction = np.array([key_to_id[("p", int(j))] for j in mesh.junction_nodes])
+    cols = list(zip(*mesh.bdry))
+    na, nm, nb = (new_id[np.array(col, dtype=int)] for col in cols[:3])
     bdry = []
-    for (na, mid, nb, tag, ta, tb) in mesh.bdry:
-        a = key_to_id[("p", na)]
-        m = key_to_id[("p", mid)]
-        bnode = key_to_id[("p", nb)]
-        k1 = key_to_id[("e", min(a, m), max(a, m))]
-        k2 = key_to_id[("e", min(m, bnode), max(m, bnode))]
+    for a, k1, m, k2, b, tag, ta, tb in zip(na.tolist(), midnode(na, nm).tolist(), nm.tolist(),
+                                            midnode(nm, nb).tolist(), nb.tolist(), *cols[3:]):
         tm = 0.5 * (ta + tb) if abs(tb - ta) < 0.5 else np.mod(0.5 * (ta + tb + 1.0), 1.0)
-        bdry.append((a, k1, m, tag, ta, tm))
-        bdry.append((m, k2, bnode, tag, tm, tb))
+        bdry += [(a, k1, m, tag, ta, tm), (m, k2, b, tag, tm, tb)]
     outer_param = {}
     for (a, m, bnode, tag, ta, tb) in bdry:
         outer_param[a] = ta
         outer_param[bnode] = tb
-    out = CrackMesh(vx, tris, sector, n_vertex_new, crack, junction, bdry,
-                    outer_param, mesh.h / 2.0)
-    if mesh.vertex_mask is not None:
-        # masks are geometric; re-derive membership of new nodes from parents
-        out.vertex_mask = None
-        out.elem_mask = None
-        out.mu = mesh.mu
-    return out
+    # the refined mesh carries no admissible-subdomain mask: callers re-mark
+    # it, and only mu is kept
+    return CrackMesh(vx, tris_new, np.repeat(mesh.sector, 4), n_vertex, crack,
+                     new_id[mesh.junction_nodes], bdry, outer_param, mesh.h / 2.0,
+                     mu=mesh.mu if mesh.vertex_mask is not None else None)
 
 
 def prolong(field, fine_mesh):
-    """Exact P2 embedding of a field into the refined mesh."""
-    coarse = field.mesh
+    """Exact P2 embedding of a field into refine_uniform(field.mesh): each
+    fine node takes the parent interpolant at its first occurrence in
+    fine_mesh.tris, where row 4 t + c is child c of parent triangle t."""
+    nodes, first = np.unique(fine_mesh.tris.ravel(), return_index=True)
+    tc, a = np.divmod(first, 6)
+    t, c = np.divmod(tc, 4)
+    U = field.values[field.mesh.tris[t]]
     vals = np.zeros(fine_mesh.n_nodes)
-    ref6 = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5)]
-    seen = np.zeros(fine_mesh.n_nodes, dtype=bool)
-    child_per_parent = 4
-    for t in range(coarse.n_tris):
-        U = field.values[coarse.tris[t]]
-        for c in range(child_per_parent):
-            tc = t * child_per_parent + c
-            for a in range(6):
-                node = fine_mesh.tris[tc, a]
-                if seen[node]:
-                    continue
-                ref = _CHILD_REF[c][a]
-                N, _ = p2_basis(*ref)
-                vals[node] = N @ U
-                seen[node] = True
+    vals[nodes] = (_N_CHILD[c, a][:, None, :] @ U[:, :, None])[:, 0, 0]
     return CrackField(fine_mesh, vals)

@@ -34,17 +34,17 @@ class VelocityPair:
         """Z = DX[X], matching the autonomous flow of X."""
         return cls(X, X.advected(), label=label)
 
-    def validate(self, config, tol_tangent=1e-8, tol_outside=1e-10):
+    def validate(self, config):
         tb = np.linspace(0.0, 1.0, 257, endpoint=False)
         Pb = config.outer.point(tb)
         xb = self.X(Pb)
         tang = np.abs(np.sum(xb * config.outer.normal(tb), axis=1))
-        if np.max(tang) > tol_tangent * max(1.0, np.abs(xb).max()):
+        if np.max(tang) > 1e-8 * max(1.0, np.abs(xb).max()):
             raise AdmissibilityError("X not tangent to the outer boundary")
         probes = _outside_probes(config)
         if probes.shape[0]:
             vals = np.abs(self.X(probes)).max() + np.abs(self.Z(probes)).max()
-            if vals > tol_outside * max(1.0, np.abs(xb).max()):
+            if vals > 1e-10 * max(1.0, np.abs(xb).max()):
                 raise AdmissibilityError("(X, Z) do not vanish outside U")
         return True
 

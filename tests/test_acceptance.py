@@ -172,7 +172,6 @@ def test_criterion_05_second_variation_oracle(trilobe):
                 np.asarray(Rs), formatter={"all": lambda v: "%.1e" % v})), t0)
 
 
-@pytest.mark.slow
 def test_criterion_06_quadratic_form_oracle(disk):
     t0 = time.time()
     cfg, mesh, u = disk

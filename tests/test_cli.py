@@ -181,6 +181,7 @@ def test_benchmark_trace_targets_resolve():
 SWEEP_DELTA_TOL = 1e-14
 
 
+@pytest.mark.slow
 def test_sweep_deltas_match_benchmark_references():
     """The benchmark's sweep ops reproduce the energy deltas recorded in
     perfbench/references.json for input seeds 0 and 5: exactly for the bumps

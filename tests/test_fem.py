@@ -1,15 +1,17 @@
+import functools
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trijunction import (disk_config, generate_crack_mesh, mark_admissible_subdomain,
                          solve_equilibrium, solve_transported, solve_shape_derivative,
                          solve_vphi, SectorConstants, CrackField, Operator,
                          refine_uniform, prolong, SolveError, JunctionScalar,
                          VectorField, VelocityPair, radial_bump, rk4_flow,
-                         ParamCurve, assemble_boundary_load, CrackMesh)
-from trijunction.fem import (Assembly, CrackLoadAssembler, CrackQuadrature,
+                         ParamCurve, assemble_boundary_load, CrackMesh, MeshError)
+from trijunction.fem import (p2_basis, Assembly, CrackLoadAssembler, CrackQuadrature,
                              mesh_operator, transported_pin_set)
 
 
@@ -343,3 +345,139 @@ def test_crack_side_projection_is_the_separate_projections(bent):
             assert np.array_equal(side.s, arm.project(side.pos)[0])
             for end in side.ends:
                 assert end["s"] == arm.project(end["pos"])[0][0]
+
+
+# ----------------------------------------------------------------------
+# nested refinement against the per-triangle loops it replaced
+# ----------------------------------------------------------------------
+
+_REF6 = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5)]
+_CHILD_REF = [
+    [(0, 0), (0.5, 0), (0, 0.5), (0.25, 0), (0.25, 0.25), (0, 0.25)],
+    [(0.5, 0), (1, 0), (0.5, 0.5), (0.75, 0), (0.75, 0.25), (0.5, 0.25)],
+    [(0, 0.5), (0.5, 0.5), (0, 1), (0.25, 0.5), (0.25, 0.75), (0, 0.75)],
+    [(0.5, 0.5), (0, 0.5), (0.5, 0), (0.25, 0.5), (0.25, 0.25), (0.5, 0.25)],
+]
+
+
+def _refine_uniform_loop(mesh):
+    """The per-triangle loop that fem.refine_uniform replaced."""
+    key_to_id, new_xy = {}, []
+
+    def node_at(parent_tri, ref_pt, key):
+        if key not in key_to_id:
+            N, _ = p2_basis(*ref_pt)
+            key_to_id[key] = len(new_xy)
+            new_xy.append(N @ mesh.vx[mesh.tris[parent_tri]])
+        return key_to_id[key]
+
+    for t in range(mesh.n_tris):
+        for a in range(6):
+            node_at(t, _REF6[a], ("p", int(mesh.tris[t, a])))
+    n_vertex_new = len(new_xy)
+    tris_new, sec_new = [], []
+    for t in range(mesh.n_tris):
+        for child in _CHILD_REF:
+            conn = [key_to_id[("p", int(mesh.tris[t, _REF6.index(pt)]))] for pt in child[:3]]
+            for k, pt in enumerate(child[3:]):
+                a, b = conn[k], conn[(k + 1) % 3]
+                conn.append(node_at(t, pt, ("e", min(a, b), max(a, b))))
+            tris_new.append(conn)
+            sec_new.append(mesh.sector[t])
+
+    def edge(a, b):
+        return key_to_id[("e", min(a, b), max(a, b))]
+
+    def remap_chain(ids, s_params):
+        out_ids, out_s = [], []
+        for k in range(len(ids) - 1):
+            a = key_to_id[("p", int(ids[k]))]
+            b = key_to_id[("p", int(ids[k + 1]))]
+            out_ids.extend([a, edge(a, b)])
+            out_s.extend([s_params[k], 0.5 * (s_params[k] + s_params[k + 1])])
+        out_ids.append(key_to_id[("p", int(ids[-1]))])
+        out_s.append(s_params[-1])
+        return np.asarray(out_ids, dtype=int), np.asarray(out_s)
+
+    crack = []
+    for rec in mesh.crack:
+        p_ids, p_s = remap_chain(rec["plus"], rec["s"])
+        m_ids, _ = remap_chain(rec["minus"], rec["s"])
+        crack.append({"s": p_s, "plus": p_ids, "minus": m_ids,
+                      "plus_sector": rec.get("plus_sector"),
+                      "minus_sector": rec.get("minus_sector")})
+    junction = np.array([key_to_id[("p", int(j))] for j in mesh.junction_nodes])
+    bdry = []
+    for (na, mid, nb, tag, ta, tb) in mesh.bdry:
+        a, m, b = (key_to_id[("p", n)] for n in (na, mid, nb))
+        tm = 0.5 * (ta + tb) if abs(tb - ta) < 0.5 else np.mod(0.5 * (ta + tb + 1.0), 1.0)
+        bdry += [(a, edge(a, m), m, tag, ta, tm), (m, edge(m, b), b, tag, tm, tb)]
+    outer_param = {}
+    for (a, m, b, tag, ta, tb) in bdry:
+        outer_param[a] = ta
+        outer_param[b] = tb
+    return CrackMesh(np.asarray(new_xy), np.asarray(tris_new, dtype=int),
+                     np.asarray(sec_new, dtype=int), n_vertex_new, crack, junction, bdry,
+                     outer_param, mesh.h / 2.0,
+                     mu=mesh.mu if mesh.vertex_mask is not None else None)
+
+
+def _prolong_loop(field, fine_mesh):
+    """The per-triangle loop that fem.prolong replaced."""
+    coarse = field.mesh
+    vals = np.zeros(fine_mesh.n_nodes)
+    seen = np.zeros(fine_mesh.n_nodes, dtype=bool)
+    for t in range(coarse.n_tris):
+        U = field.values[coarse.tris[t]]
+        for c in range(4):
+            for a in range(6):
+                node = fine_mesh.tris[4 * t + c, a]
+                if not seen[node]:
+                    N, _ = p2_basis(*_CHILD_REF[c][a])
+                    vals[node] = N @ U
+                    seen[node] = True
+    return vals
+
+
+@pytest.mark.slow
+def test_refine_and_prolong_match_the_triangle_loops(disk, trilobe, bent):
+    """Bitwise, on the three configurations, from the marked h=0.05 mesh and
+    from its refinement: the same mesh text, node coordinates and prolonged
+    values, for the solution (first level) and for a non-polynomial field."""
+    for cfg, mesh, u in (disk, trilobe, bent):
+        for level in range(2):
+            fine = refine_uniform(mesh)
+            loop = _refine_uniform_loop(mesh)
+            assert fine.dump_text() == loop.dump_text()
+            assert np.array_equal(fine.vx, loop.vx)
+            wavy = CrackField(mesh, np.sin(3.0 * mesh.vx[:, 0]) * np.exp(mesh.vx[:, 1]))
+            for f in (u, wavy)[level:]:
+                assert np.array_equal(prolong(f, fine).values, _prolong_loop(f, fine))
+            mesh, u = fine, prolong(u, fine)
+
+
+def test_refine_rejects_a_crack_edge_that_is_no_mesh_edge():
+    cfg = disk_config()
+    mesh = generate_crack_mesh(cfg, 0.12)
+    rec = mesh.crack[0]
+    rec["plus"], rec["s"] = rec["plus"][::2], rec["s"][::2]
+    with pytest.raises(MeshError):
+        refine_uniform(mesh)
+
+
+@functools.lru_cache(maxsize=None)
+def _coarse_disk_mesh():
+    return generate_crack_mesh(disk_config(), 0.12)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10)
+def test_prolong_keeps_the_energy(seed):
+    """P2 nesting is exact: a nodal vector and its prolongation have the
+    same Dirichlet energy.  The curved elements make the 7-point rule inexact,
+    so the coarse energy takes it on the 4 children, as the fine one does."""
+    coarse = _coarse_disk_mesh()
+    v = CrackField(coarse, np.random.default_rng(seed).standard_normal(coarse.n_nodes))
+    e_coarse = v.energy(subdivide=1)
+    e_fine = prolong(v, refine_uniform(coarse)).energy()
+    assert abs(e_fine - e_coarse) <= 1e-10 * e_coarse

@@ -214,6 +214,7 @@ def test_connecting_family_worst_case(trilobe):
     assert np.max(np.abs(fam.acc[0, k][near])) < 1e-12
 
 
+@pytest.mark.slow
 def test_connecting_family_identity(trilobe):
     cfg, mesh, u = trilobe
     ss = np.linspace(0, 1, 400)
@@ -256,7 +257,6 @@ def test_energy_taylor_identity(trilobe):
     assert et["relative_gap"] < 0.1
 
 
-@pytest.mark.slow
 def test_energy_taylor_scaling(trilobe):
     """Energy differences scale quadratically at a critical point."""
     cfg, mesh, u = trilobe

@@ -74,6 +74,52 @@ def test_trilobe_strictly_stable(trilobe):
     assert abs(rep.lam_min - w[0]) < 1e-4
 
 
+def _oracle_1d_dense(config, m):
+    """The dense finite-difference pencil and eigensolve that oracle_1d
+    replaced by sparse shift-invert."""
+    nvar = 3 * m
+    Q = np.zeros((nvar, nvar))
+    G = np.zeros((nvar, nvar))
+    for arm in range(3):
+        dx = config.arms[arm].length / (m - 1)
+        sl = slice(arm * m, (arm + 1) * m)
+        D = np.zeros((m - 1, m))
+        for k in range(m - 1):
+            D[k, k] = -1.0 / dx
+            D[k, k + 1] = 1.0 / dx
+        stiff = D.T @ D * dx
+        trap = np.full(m, dx)
+        trap[0] = trap[-1] = dx / 2
+        Qa = stiff + np.diag(trap * config.arms[arm].curvature(np.linspace(0.0, 1.0, m)) ** 2)
+        Qa[-1, -1] -= config.contact_normal_curvature(arm)
+        Q[sl, sl] = Qa
+        G[sl, sl] = stiff + np.diag(trap)
+    j_ids = [0, m, 2 * m]
+    keep = np.setdiff1d(np.arange(nvar), j_ids)
+    T = np.zeros((nvar, nvar - 1))
+    T[keep, np.arange(2, nvar - 1)] = 1.0
+    T[j_ids[0], 0] = 1.0 / np.sqrt(2)
+    T[j_ids[1], 0] = -1.0 / np.sqrt(2)
+    T[j_ids[0], 1] = 1.0 / np.sqrt(6)
+    T[j_ids[1], 1] = 1.0 / np.sqrt(6)
+    T[j_ids[2], 1] = -2.0 / np.sqrt(6)
+    return sla.eigh(T.T @ Q @ T, T.T @ G @ T, eigvals_only=True, subset_by_index=[0, 5])
+
+
+@pytest.mark.parametrize("m", [200, 400])
+def test_oracle_1d_matches_the_dense_solve(disk, trilobe, bent, m):
+    """The six lowest eigenvalues within 1e-10 of the dense solve, and all
+    above the shift; the disk's lambda_min is negative."""
+    for cfg in (disk[0], trilobe[0], bent[0]):
+        w = oracle_1d(cfg, m=m)
+        assert np.max(np.abs(w - _oracle_1d_dense(cfg, m))) <= 1e-10
+        sigma = -1.0 - max(2.0 * max(cfg.contact_normal_curvature(i), 0.0)
+                           * max(arm.length, 1.0 / arm.length)
+                           for i, arm in enumerate(cfg.arms))
+        assert np.all(np.diff(w) >= 0) and sigma < w[0]
+    assert oracle_1d(disk[0], m=m)[0] < -1.0
+
+
 def test_d3_symmetry_degeneracies(disk):
     cfg, mesh, u = disk
     rep = analyze_stability(cfg, u, n=32)
@@ -157,7 +203,6 @@ def test_necessity_probe_descent_on_disk(disk):
     assert out["descent_found"] and out["descent_delta"] < 0
 
 
-@pytest.mark.slow
 def test_coercivity_continuity(trilobe):
     cfg, mesh, u = trilobe
     c = cfg.arms[0].point(0.5)
