@@ -5,10 +5,9 @@ strict-stability analysis, with finite-difference oracles for everything.
 
 from .errors import (TrijunctionError, GeometryError, ProjectionError,
                      ConfigError, MeshError, SolveError, AdmissibilityError)
-from .curves import (ParamCurve, rot90, tangential_gradient,
-                     tangential_divergence, divergence_formula_check)
-from .diffeo import Diffeo, pushforward, area_formula_check
-from .fields import VectorField, bump, radial_bump, rk4_flow
+from .curves import ParamCurve
+from .diffeo import Diffeo
+from .fields import VectorField, radial_bump, rk4_flow
 from .config import (TripleJunctionConfig, disk_config, trilobe_config,
                      bent_arm_config, transported_config, save_config, load_config)
 from .crackmesh import (CrackMesh, generate_crack_mesh, mark_admissible_subdomain,
@@ -26,11 +25,9 @@ from .stability import (assemble_stability_problem, stability_verdict,
                         analyze_stability, oracle_1d, oracle_quadrature_value,
                         tubular_stability_check, necessity_probe,
                         coercivity_continuity_probe)
-from .identities import AnalyticScalarField, canonical_identity_suite
 from .flows import (flow_from_field, build_test_field,
                     construct_connecting_family, verify_flow_estimates,
-                    extend_to_bulk, BulkExtension, energy_at_map,
-                    energy_taylor_check, energy_comparison_sweep,
+                    energy_at_map, energy_taylor_check, energy_comparison_sweep,
                     perturbation_catalog, c2_distance_on_crack)
 
 __version__ = "0.1.0"

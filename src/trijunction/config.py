@@ -171,35 +171,37 @@ class TripleJunctionConfig:
 # canonical configurations
 # ----------------------------------------------------------------------
 
-def disk_config(radius=1.0, arm_angles=(np.pi / 2, np.pi / 2 + 2 * np.pi / 3,
-                                         np.pi / 2 + 4 * np.pi / 3),
-                mu=0.25, dirichlet_halfwidth=0.25, knots=900):
-    """Unit-disk configuration: three straight radii, junction at the center.
+def disk_config(arm_angles=(np.pi / 2, np.pi / 2 + 2 * np.pi / 3,
+                            np.pi / 2 + 4 * np.pi / 3)):
+    """Unit-disk configuration: three straight radii, junction at the center,
+    subdomain radius 0.25, Dirichlet arcs of half the sector stretch.
 
     Critical with sector-constant data; the convex boundary (H_bdry = +1/R at
     the contacts) makes it a natural destabilized companion to the 3-lobe
     domain below.
     """
+    radius = 1.0
     outer = ParamCurve.circle(radius=radius, n=2000, clockwise=True)
     arms = [ParamCurve.line((0.0, 0.0),
                             (radius * np.cos(a), radius * np.sin(a)), n=24)
             for a in arm_angles]
-    d_arcs = _midsector_dirichlet_arcs(outer, arms, dirichlet_halfwidth)
-    return TripleJunctionConfig((0.0, 0.0), arms, outer, d_arcs, mu)
+    d_arcs = _midsector_dirichlet_arcs(outer, arms, 0.25)
+    return TripleJunctionConfig((0.0, 0.0), arms, outer, d_arcs, 0.25)
 
 
-def trilobe_config(base_radius=1.0, lobe=0.15,
-                   arm_angles=(np.pi / 2, np.pi / 2 + 2 * np.pi / 3,
-                               np.pi / 2 + 4 * np.pi / 3),
-                   mu=0.28, dirichlet_halfwidth=0.3, knots=2400):
-    """Three-lobed domain r = R - a cos(3(theta - theta_1)).
+def trilobe_config():
+    """Three-lobed domain r = R - a cos(3(theta - theta_1)) with R = 1,
+    a = 0.15, arms at theta_1 = pi/2 and its two rotations by 2 pi/3,
+    subdomain radius 0.28 and Dirichlet arcs of 0.6 of the sector stretch.
 
     The boundary is concave (H_bdry < 0 with the outward-normal convention)
     at the three contact points when R < 10 a, which makes the symmetric
     configuration strictly stable.
     """
+    base_radius, lobe = 1.0, 0.15
+    arm_angles = (np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)
     th1 = arm_angles[0]
-    th = np.linspace(0.0, 2.0 * np.pi, knots, endpoint=False)[::-1]  # clockwise
+    th = np.linspace(0.0, 2.0 * np.pi, 2400, endpoint=False)[::-1]  # clockwise
     r = base_radius - lobe * np.cos(3.0 * (th - th1))
     pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
     outer = ParamCurve(pts, closed=True)
@@ -207,13 +209,14 @@ def trilobe_config(base_radius=1.0, lobe=0.15,
     for a in arm_angles:
         rr = base_radius - lobe * np.cos(3.0 * (a - th1))
         arms.append(ParamCurve.line((0.0, 0.0), (rr * np.cos(a), rr * np.sin(a)), n=24))
-    d_arcs = _midsector_dirichlet_arcs(outer, arms, dirichlet_halfwidth)
-    return TripleJunctionConfig((0.0, 0.0), arms, outer, d_arcs, mu)
+    d_arcs = _midsector_dirichlet_arcs(outer, arms, 0.3)
+    return TripleJunctionConfig((0.0, 0.0), arms, outer, d_arcs, 0.28)
 
 
-def bent_arm_config(base="disk", bend=0.12, mu=0.25, **kw):
-    """Non-critical configuration: one arm bowed sideways."""
-    cfg = disk_config(mu=mu, **kw) if base == "disk" else trilobe_config(mu=mu, **kw)
+def bent_arm_config(bend=0.12):
+    """Non-critical configuration: one arm of the disk configuration bowed
+    sideways."""
+    cfg = disk_config()
     arm0 = cfg.arms[0]
     ss = np.linspace(0.0, 1.0, 48)
     pts = arm0.point(ss) + bend * np.sin(np.pi * ss)[:, None] * arm0.normal(ss)
@@ -245,13 +248,14 @@ def mapped_arms(config, map_fn, n_samples):
     return map_with_arms(config, map_fn, n_samples, np.empty((0, 2)))[1]
 
 
-def transported_config(config, map_fn, n_samples=400, validate=True):
-    """Configuration with arms (and junction) moved by an admissible map.
+def transported_config(config, map_fn, validate=True):
+    """Configuration with arms (and junction) moved by an admissible map, each
+    arm refit through 400 samples.
 
     The outer boundary and the Dirichlet arcs are unchanged (admissible maps
     send the boundary to itself and fix the Dirichlet portion).
     """
-    x0, arms = map_with_arms(config, map_fn, n_samples, config.junction[None, :])
+    x0, arms = map_with_arms(config, map_fn, 400, config.junction[None, :])
     return TripleJunctionConfig(x0[0], arms, config.outer, config.dirichlet_arcs,
                                 config.mu, config.tol_tangency, validate=validate)
 
@@ -304,10 +308,9 @@ def save_config(config, path_or_stream):
         f.write("# trijunction configuration\n")
         f.write("junction = %.17g %.17g\n" % tuple(config.junction))
         for i, arm in enumerate(config.arms):
-            pts = getattr(arm, "control_points", arm.point(arm.knots))
-            f.write("arm%d.control_points = %s\n" % (i + 1, _fmt_points(pts)))
-        pts = getattr(config.outer, "control_points", config.outer.point(config.outer.knots))
-        f.write("outer_boundary.control_points = %s\n" % _fmt_points(pts))
+            f.write("arm%d.control_points = %s\n" % (i + 1, _fmt_points(arm.control_points)))
+        f.write("outer_boundary.control_points = %s\n"
+                % _fmt_points(config.outer.control_points))
         flat = " ".join("%.17g %.17g" % ab for ab in config.dirichlet_arcs)
         f.write("dirichlet_arc = %s\n" % flat)
         f.write("subdomain_radius = %.17g\n" % config.mu)
@@ -316,7 +319,7 @@ def save_config(config, path_or_stream):
             f.close()
 
 
-def load_config(path_or_stream, validate=True):
+def load_config(path_or_stream):
     own = isinstance(path_or_stream, (str, bytes))
     f = open(path_or_stream, "r") if own else path_or_stream
     try:
@@ -346,7 +349,7 @@ def load_config(path_or_stream, validate=True):
         raise ConfigError("dirichlet_arc needs an even number of parameters")
     arcs = [(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)]
     mu = float(kv["subdomain_radius"])
-    return TripleJunctionConfig(junction, arms, outer, arcs, mu, validate=validate)
+    return TripleJunctionConfig(junction, arms, outer, arcs, mu)
 
 
 def config_to_text(config):

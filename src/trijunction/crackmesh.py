@@ -99,20 +99,22 @@ class CrackMesh:
                 out.update((na, mid, nb))
         return np.array(sorted(out), dtype=int)
 
-    def morph(self, map_fn, check_quality=True):
+    def morph(self, map_fn):
         """New mesh with nodes moved by an (admissible) map; combinatorics kept."""
-        return self.with_nodes(np.atleast_2d(map_fn(self.vx)), check_quality)
+        return self.with_nodes(np.atleast_2d(map_fn(self.vx)))
 
-    def with_nodes(self, vx, check_quality=True):
-        """New mesh with the node positions vx; combinatorics kept."""
+    def with_nodes(self, vx):
+        """New mesh with the node positions vx; combinatorics kept.
+
+        Raises MeshError when an element is inverted or has an angle below
+        2 degrees."""
         out = CrackMesh(vx, self.tris, self.sector, self.n_vertex, self.crack,
                         self.junction_nodes, self.bdry, self.outer_param, self.h,
                         self.vertex_mask, self.elem_mask, self.mu)
-        if check_quality:
-            if not out.orientation_ok():
-                raise MeshError("morph produced inverted elements")
-            if out.min_angle() < 2.0:
-                raise MeshError("morph degraded mesh quality below 2 degrees")
+        if not out.orientation_ok():
+            raise MeshError("morph produced inverted elements")
+        if out.min_angle() < 2.0:
+            raise MeshError("morph degraded mesh quality below 2 degrees")
         return out
 
     def fuse_crack(self):
@@ -270,13 +272,14 @@ def _bridge(c0, c1):
     return tris
 
 
-def _grade_segment(n, left_s, right_s, beta=0.45):
+def _grade_segment(n, left_s, right_s):
     """n+1 fractions in [0,1], clustered toward graded endpoints.
 
-    Sinusoidal grading bounds the smallest edge at (1-beta) of uniform
-    independently of n, so the strips against the uniform rows below never
-    degenerate under refinement.
+    Sinusoidal grading bounds the smallest edge at (1-beta) of uniform, with
+    beta = 0.45, independently of n, so the strips against the uniform rows
+    below never degenerate under refinement.
     """
+    beta = 0.45
     u = np.linspace(0.0, 1.0, n + 1)
     if left_s and right_s:
         return u - beta / (2 * np.pi) * np.sin(2 * np.pi * u)
@@ -329,7 +332,7 @@ class _SectorPatch:
         return out
 
 
-def generate_crack_mesh(config, h, grade_beta=0.45):
+def generate_crack_mesh(config, h):
     """Conforming quadratic triangulation of the slit domain at size h.
 
     Deterministic; crack and boundary nodes (midnodes included) lie exactly
@@ -377,7 +380,7 @@ def generate_crack_mesh(config, h, grade_beta=0.45):
     for s, patch in enumerate(sectors):
         arc_len = abs(config.outer.length * (patch.t_b - patch.t_a))
         n_arc = max(6, int(round(arc_len / h)))
-        gb, n_arc = _arc_reparam(config, patch, n_arc, grade_beta)
+        gb, n_arc = _arc_reparam(config, patch, n_arc)
         patch.gb = gb
         rows = []
         for k in range(m + 1):
@@ -495,7 +498,7 @@ def _smooth_interior(node_xy, tris3, fixed, iterations=8, lam=0.5):
     return best
 
 
-def _arc_reparam(config, patch, n_arc, beta):
+def _arc_reparam(config, patch, n_arc):
     """Monotone reparametrization of the outer arc hitting the Dirichlet
     transition parameters exactly, geometrically graded toward them."""
     ta, tb = patch.t_a, patch.t_b
@@ -515,7 +518,7 @@ def _arc_reparam(config, patch, n_arc, beta):
     for i, (c, (l, r)) in enumerate(zip(counts, zip(brk[:-1], brk[1:]))):
         left_s = brk[i] in forced or (i > 0)
         right_s = brk[i + 1] in forced or (i + 1 < len(brk) - 1)
-        frac = _grade_segment(c, left_s, right_s, beta)
+        frac = _grade_segment(c, left_s, right_s)
         params.extend((l + frac[1:] * (r - l)).tolist())
     params = np.asarray(params)
     if ta > tb:

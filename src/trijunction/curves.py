@@ -53,14 +53,11 @@ class ParamCurve:
         Closed curve (periodic spline) instead of an open arc.
     flag : +1 or -1
         Orientation flag: nu = flag * rot90(tau).
-    resample : int or None
-        Number of knots after arc-length resampling (default: keep k).
     end_tangents : ((2,), (2,)) or None
         Exact end derivatives d gamma/dt (clamped spline); open curves only.
     """
 
-    def __init__(self, points, closed=False, flag=1, resample=None,
-                 end_tangents=None, _resample_passes=2):
+    def __init__(self, points, closed=False, flag=1, end_tangents=None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] < 4:
             raise GeometryError("need at least 4 points for a cubic spline")
@@ -72,7 +69,7 @@ class ParamCurve:
         self.end_tangents = (None if end_tangents is None else
                              (np.asarray(end_tangents[0], float).copy(),
                               np.asarray(end_tangents[1], float).copy()))
-        self._build(pts, resample, end_tangents, _resample_passes)
+        self._build(pts, end_tangents)
         self._reach = None
 
     def with_flag(self, flag):
@@ -83,11 +80,11 @@ class ParamCurve:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _build(self, pts, resample, end_tangents, passes):
+    def _build(self, pts, end_tangents):
         if self.closed and np.linalg.norm(pts[0] - pts[-1]) > 1e-12:
             pts = np.vstack([pts, pts[0]])
-        n = resample if resample is not None else pts.shape[0]
-        # chord-length parameter first, then iterate to (near) arc length
+        n = pts.shape[0]
+        # chord-length parameter first, then two passes to (near) arc length
         t = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
         if t[-1] <= 0:
             raise GeometryError("coincident interpolation points")
@@ -96,7 +93,7 @@ class ParamCurve:
         if np.any(np.diff(t) <= 0):
             raise GeometryError("repeated interpolation points")
         spl = self._fit(t, pts, end_tangents, chord)
-        for _ in range(passes):
+        for _ in range(2):
             spl, t = self._arclength_pass(spl, n, end_tangents)
         self._spl = spl
         self.knots = t
@@ -134,8 +131,8 @@ class ParamCurve:
         return self._fit(u, pts, end_tangents, total), u
 
     @staticmethod
-    def _measure_length(spl, n=4096):
-        tf = np.linspace(0.0, 1.0, n)
+    def _measure_length(spl):
+        tf = np.linspace(0.0, 1.0, 4096)
         return float(np.trapezoid(_speed(spl, tf), tf))
 
     # ------------------------------------------------------------------
@@ -148,12 +145,12 @@ class ParamCurve:
         return cls(pts, end_tangents=(b - a, b - a))
 
     @classmethod
-    def circle(cls, center=(0.0, 0.0), radius=1.0, n=2000, clockwise=False):
+    def circle(cls, radius=1.0, n=2000, clockwise=False):
+        """Circle about the origin."""
         th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         if clockwise:
             th = -th
-        c = np.asarray(center, float)
-        pts = c + radius * np.stack([np.cos(th), np.sin(th)], axis=1)
+        pts = radius * np.stack([np.cos(th), np.sin(th)], axis=1)
         return cls(pts, closed=True)
 
     @classmethod
@@ -198,18 +195,6 @@ class ParamCurve:
         sp2 = np.sum(v * v, axis=-1)
         num = v[..., 0] * a[..., 1] - v[..., 1] * a[..., 0]
         return -self.flag * num / sp2 ** 1.5
-
-    def arclength(self, s):
-        """Arc length from parameter 0 to s (parameter is near-proportional)."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(s)
-        for i, si in enumerate(s):
-            tf = np.linspace(0.0, si, 256)
-            out[i] = np.trapezoid(_speed(self._spl, tf), tf)
-        return out if out.size > 1 else float(out[0])
-
-    def endpoints(self):
-        return self.point(0.0), self.point(1.0)
 
     def outward_tangent(self, end):
         """Unit tangent pointing out of the arc at s=0 or s=1."""
@@ -366,7 +351,8 @@ class ParamCurve:
         vals = np.asarray(fn(s))
         return np.sum(vals * w * sp, axis=-1)
 
-    def is_simple(self, tol=1e-9):
+    def is_simple(self):
+        """No two samples farther apart than 0.05 in parameter lie within 1e-9."""
         ss = np.linspace(0.0, 1.0, 400)
         pts = self.point(ss)
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
@@ -374,7 +360,7 @@ class ParamCurve:
         if self.closed:
             gap = np.minimum(gap, 1.0 - gap)
         far = gap > 0.05
-        return bool(np.all(d2[far] > tol ** 2))
+        return bool(np.all(d2[far] > 1e-9 ** 2))
 
 
 # ----------------------------------------------------------------------
@@ -409,17 +395,17 @@ def tangential_divergence(curve, s, field, jac=None):
     return np.sum(tau * dg, axis=-1)
 
 
-def divergence_formula_check(curve, field, jac=None, order=12, panels=512):
+def divergence_formula_check(curve, field, jac=None, panels=512):
     """Both sides of int_gamma div_gamma g = int_gamma H (g.nu) + sum_bdry g.eta.
 
     Returns (lhs, rhs).
     """
     lhs = curve.integrate(lambda s: tangential_divergence(curve, s, field, jac),
-                          order=order, panels=panels)
+                          panels=panels)
     rhs = curve.integrate(
         lambda s: curve.curvature(s) * np.sum(np.asarray(field(curve.point(s)), float)
                                               * curve.normal(s), axis=-1),
-        order=order, panels=panels)
+        panels=panels)
     if not curve.closed:
         for end in (0, 1):
             x = curve.point(float(end))

@@ -1,62 +1,26 @@
-"""Near-identity maps of the domain: grid-backed displacement diffeomorphisms.
+"""Near-identity maps of the domain as displacement diffeomorphisms.
 
-A Diffeo is Phi = Id + d where the displacement d is either analytic
-(callable, with optional analytic Jacobian) or a pair of bicubic spline
-surfaces on a background grid, so that D Phi and D^2 Phi exist everywhere.
+A Diffeo is Phi = Id + d where the displacement d is a callable, with an
+optional analytic Jacobian (central differences otherwise).
 """
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import AdmissibilityError
-from .curves import ParamCurve, rot90
+from .curves import ParamCurve
 
 
 class Diffeo:
-    """Phi = Id + displacement on a rectangle containing the domain."""
+    """Phi = Id + displacement."""
 
-    def __init__(self, disp, disp_jac=None, bbox=None, label="diffeo"):
+    def __init__(self, disp, disp_jac=None):
         self._disp = disp
         self._disp_jac = disp_jac
-        self.bbox = bbox
-        self.label = label
 
-    # ------------------------------------------------------------------
     @classmethod
-    def identity(cls, bbox=None):
+    def identity(cls):
         return cls(lambda P: np.zeros_like(np.atleast_2d(P)),
-                   lambda P: np.zeros((np.atleast_2d(P).shape[0], 2, 2)),
-                   bbox=bbox, label="identity")
-
-    @classmethod
-    def on_grid(cls, disp_fn, bbox, n=96, label="grid"):
-        """Sample a displacement onto a grid and represent it bicubically."""
-        (x0, x1), (y0, y1) = bbox
-        gx = np.linspace(x0, x1, n)
-        gy = np.linspace(y0, y1, n)
-        X, Y = np.meshgrid(gx, gy, indexing="ij")
-        P = np.stack([X.ravel(), Y.ravel()], axis=1)
-        D = np.atleast_2d(disp_fn(P))
-        sx = RectBivariateSpline(gx, gy, D[:, 0].reshape(n, n), kx=3, ky=3)
-        sy = RectBivariateSpline(gx, gy, D[:, 1].reshape(n, n), kx=3, ky=3)
-
-        def disp(Q):
-            Q = np.atleast_2d(Q)
-            return np.stack([sx(Q[:, 0], Q[:, 1], grid=False),
-                             sy(Q[:, 0], Q[:, 1], grid=False)], axis=1)
-
-        def disp_jac(Q):
-            Q = np.atleast_2d(Q)
-            J = np.empty((Q.shape[0], 2, 2))
-            J[:, 0, 0] = sx(Q[:, 0], Q[:, 1], dx=1, grid=False)
-            J[:, 0, 1] = sx(Q[:, 0], Q[:, 1], dy=1, grid=False)
-            J[:, 1, 0] = sy(Q[:, 0], Q[:, 1], dx=1, grid=False)
-            J[:, 1, 1] = sy(Q[:, 0], Q[:, 1], dy=1, grid=False)
-            return J
-
-        out = cls(disp, disp_jac, bbox=bbox, label=label)
-        out._splines = (sx, sy)
-        return out
+                   lambda P: np.zeros((np.atleast_2d(P).shape[0], 2, 2)))
 
     # ------------------------------------------------------------------
     def displacement(self, P):
@@ -74,26 +38,6 @@ class Diffeo:
             J = _fd_jacobian(self._disp, P)
         return np.eye(2)[None, :, :] + J
 
-    def hessian(self, P, h=1e-5):
-        """D^2 Phi by central differences of the Jacobian; shape (n, 2, 2, 2)."""
-        P = np.atleast_2d(np.asarray(P, float))
-        out = np.empty((P.shape[0], 2, 2, 2))
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            out[:, :, :, k] = (self.jacobian(P + e) - self.jacobian(P - e)) / (2 * h)
-        return out
-
-    def det_jacobian(self, P):
-        J = self.jacobian(P)
-        return J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-
-    def check_orientation(self, P):
-        d = self.det_jacobian(P)
-        if np.any(d <= 0):
-            raise AdmissibilityError("det DPhi <= 0 at %d sample points" % int(np.sum(d <= 0)))
-        return float(np.min(d))
-
     def map_curve(self, curve, n=None):
         """Image curve Phi(gamma) refit as a ParamCurve (same orientation flag)."""
         n = n if n is not None else max(len(curve.knots), 200)
@@ -101,7 +45,8 @@ class Diffeo:
         return ParamCurve.from_samples(samples, closed=curve.closed, flag=curve.flag)
 
 
-def _fd_jacobian(fn, P, h=1e-6):
+def _fd_jacobian(fn, P):
+    h = 1e-6
     J = np.empty((P.shape[0], 2, 2))
     for k in range(2):
         e = np.zeros(2)

@@ -129,7 +129,12 @@ class Assembly:
         return A.tocsr()
 
     def energy(self, values, elem_select=None):
-        """int |grad u_h|^2 over selected elements (exact for the P2 space)."""
+        """int |grad u_h|^2 over selected elements by the 7-point rule.
+
+        Exact for straight P2 elements only: on curved (isoparametric)
+        boundary and crack elements the integrand is rational, and on the
+        h = 0.12 disk mesh a random field's energy moves by 3.6e-7 (relative)
+        under one level of quadrature subdivision."""
         g = np.einsum("nqad,na->nqd", self.gradN, values[self.tris])
         e = np.sum(np.sum(g * g, axis=-1) * self.wdet, axis=1)
         if elem_select is None:
@@ -276,17 +281,17 @@ class CrackField:
         return self.trace(arm_idx, "plus"), self.trace(arm_idx, "minus")
 
     def energy(self, region=None, subdivide=0):
-        """Dirichlet energy over 'U' (masked elements), everything, or a mask."""
+        """Dirichlet energy over 'U' (masked elements) or, for None, everything."""
         asm = Assembly(self.mesh, subdivide) if subdivide else \
             (self.operator.asm if self.operator is not None else Assembly(self.mesh))
         if region is None:
             sel = None
-        elif isinstance(region, str) and region == "U":
+        elif region == "U":
             if self.mesh.elem_mask is None:
                 raise SolveError("mesh carries no admissible-subdomain mask")
             sel = self.mesh.elem_mask
         else:
-            sel = region
+            raise SolveError("unknown energy region %r (None or 'U')" % (region,))
         return asm.energy(self.values, sel)
 
 
@@ -494,21 +499,19 @@ def transported_pin_set(mesh):
 
 def solve_transported(mesh_t, u_base):
     """Minimizer of the Dirichlet energy on the transported slit domain,
-    constrained to match u_base outside U (and on the Dirichlet part)."""
+    constrained to match u_base outside U (and on the Dirichlet part).
+
+    mesh_t must be a morph of u_base's mesh that keeps the pinned nodes in
+    place, so the constraint values are u_base's own nodal values; any other
+    mesh raises SolveError."""
     op = mesh_operator(mesh_t)
     pinned = transported_pin_set(mesh_t)
     base_mesh = u_base.mesh
-    same = (base_mesh.n_nodes == mesh_t.n_nodes and
-            np.allclose(base_mesh.vx[pinned], mesh_t.vx[pinned], atol=1e-12))
-    if same:
-        vals = u_base.values[pinned]
-    else:
-        vals = np.empty(pinned.size)
-        for s in range(3):
-            selp = op.node_sector[pinned] == s
-            if np.any(selp):
-                vals[selp] = u_base.eval(mesh_t.vx[pinned[selp]], s)
-    u = op.solve_pinned(pinned, vals)
+    if not (base_mesh.n_nodes == mesh_t.n_nodes and
+            np.allclose(base_mesh.vx[pinned], mesh_t.vx[pinned], atol=1e-12)):
+        raise SolveError("transported mesh is not a morph of the base mesh "
+                         "that fixes the nodes pinned outside U")
+    u = op.solve_pinned(pinned, u_base.values[pinned])
     return CrackField(mesh_t, u, op)
 
 

@@ -15,13 +15,6 @@ def smoothstep(r):
     return 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def bump(x, center, radius):
-    """chi(|x - c|^2 / radius^2): 1 inside radius/sqrt(2), 0 outside radius."""
-    x = np.atleast_2d(np.asarray(x, float))
-    r2 = np.sum((x - np.asarray(center, float)) ** 2, axis=1)
-    return smoothstep(r2 / radius ** 2)
-
-
 def ramp(r, r_core, r_out):
     """Quintic 1 -> 0 over the linear range [r_core, r_out] (wide, gentle)."""
     r = np.asarray(r, dtype=float)
@@ -47,10 +40,12 @@ class VectorField:
     def __call__(self, P):
         return np.atleast_2d(np.asarray(self._fn(np.atleast_2d(np.asarray(P, float))), float))
 
-    def jac(self, P, h=1e-6):
+    def jac(self, P):
+        """The analytic Jacobian, else central differences with step 1e-6."""
         P = np.atleast_2d(np.asarray(P, float))
         if self._jac is not None:
             return np.asarray(self._jac(P), float)
+        h = 1e-6
         J = np.empty((P.shape[0], 2, 2))
         for k in range(2):
             e = np.zeros(2)
@@ -69,10 +64,6 @@ class VectorField:
                            label=self.label)
 
     __rmul__ = __mul__
-
-    def __add__(self, other):
-        return VectorField(lambda P: self(P) + other(P),
-                           None, label=self.label + "+" + other.label)
 
     @classmethod
     def zero(cls):
@@ -108,14 +99,12 @@ def rk4_flow(field, P, t, substeps=8):
     return P
 
 
-def rk4_flow_with_jac(field, P, t, substeps=8):
-    """Flow map and its space Jacobian (variational equation, RK4)."""
+def rk4_flow_with_jac(field, P, t):
+    """Flow map and its space Jacobian (variational equation, RK4 in 8 steps)."""
     P = np.atleast_2d(np.asarray(P, float)).copy()
     J = np.tile(np.eye(2), (P.shape[0], 1, 1))
-    if t == 0.0:
-        return P, J
-    dt = t / substeps
-    for _ in range(substeps):
+    dt = t / 8
+    for _ in range(8):
         k1 = field(P);              K1 = np.einsum("nij,njk->nik", field.jac(P), J)
         P2 = P + 0.5 * dt * k1;     J2 = J + 0.5 * dt * K1
         k2 = field(P2);             K2 = np.einsum("nij,njk->nik", field.jac(P2), J2)
@@ -132,8 +121,7 @@ def rk4_flow_with_jac(field, P, t, substeps=8):
 # tube / corner machinery shared by the test-field and flow constructions
 # ----------------------------------------------------------------------
 
-def corner_coordinates(curve_a, curve_b, corner, P, sa0=0.0, sb0=0.0,
-                       iters=14, clamp=0.35):
+def corner_coordinates(curve_a, curve_b, corner, P, sa0=0.0, sb0=0.0, clamp=0.35):
     """Translated-fiber coordinates (s, t) near a transversal corner.
 
     Solves  curve_a(s) + curve_b(t) - corner = y  by vectorized Newton.  The
@@ -143,7 +131,7 @@ def corner_coordinates(curve_a, curve_b, corner, P, sa0=0.0, sb0=0.0,
     corner interpolant exact on both curves.
 
     Each point leaves the iteration after the step whose updates of s and t
-    are both below 1e-14 (at most `iters` steps), so its result does not
+    are both below 1e-14 (at most 14 steps), so its result does not
     depend on the other points in P.  Later steps would only cycle within
     ulps of the root.
     """
@@ -154,7 +142,7 @@ def corner_coordinates(curve_a, curve_b, corner, P, sa0=0.0, sb0=0.0,
     lo_a, hi_a = sa0 - clamp, sa0 + clamp
     lo_b, hi_b = sb0 - clamp, sb0 + clamp
     active = np.arange(P.shape[0])
-    for _ in range(iters):
+    for _ in range(14):
         sa, ta = s[active], t[active]
         F = curve_a.point(sa) + curve_b.point(ta) - corner - P[active]
         da = curve_a.velocity(sa)
@@ -183,8 +171,7 @@ class CornerBlend:
     """
 
     def __init__(self, curve_a, curve_b, corner, fa_fn, fb_fn,
-                 corner_param_a=0.0, corner_param_b=0.0, tol_compat=1e-8,
-                 clamp=0.35):
+                 corner_param_a=0.0, corner_param_b=0.0, clamp=0.35):
         self.a, self.b, self.corner = curve_a, curve_b, np.asarray(corner, float)
         self.fa, self.fb = fa_fn, fb_fn
         self.sa0, self.sb0 = float(corner_param_a), float(corner_param_b)
@@ -194,7 +181,7 @@ class CornerBlend:
                 raise AdmissibilityError("corner does not lie on the given curve")
         va = np.asarray(fa_fn(np.array([self.sa0])), float)[0]
         vb = np.asarray(fb_fn(np.array([self.sb0])), float)[0]
-        if np.max(np.abs(va - vb)) > tol_compat:
+        if np.max(np.abs(va - vb)) > 1e-8:
             raise AdmissibilityError(
                 "corner-incompatible boundary data: mismatch %.3e" % np.max(np.abs(va - vb)))
         self.f0 = 0.5 * (va + vb)

@@ -10,8 +10,7 @@ from functools import partial
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import (AdmissibilityError, GeometryError, MeshError, SolveError,
-                     TrijunctionError)
+from .errors import AdmissibilityError, GeometryError, TrijunctionError
 from .curves import ParamCurve, rot90
 from .fields import VectorField, smoothstep, ramp, radial_bump, rk4_flow, CornerBlend
 from .config import transported_config, mapped_arms, map_with_arms
@@ -32,21 +31,16 @@ def chi(r):
 # ----------------------------------------------------------------------
 
 class FlowFamily:
-    """Phi_t as the flow of X (autonomous) or Phi_t = Id + t X (affine)."""
+    """Phi_t as the autonomous flow of X."""
 
-    def __init__(self, X, config, t_grid=None, mode="autonomous"):
-        if mode not in ("autonomous", "affine"):
-            raise AdmissibilityError("mode must be 'autonomous' or 'affine'")
+    def __init__(self, X, config, t_grid=None):
         self.X = X
-        self.mode = mode
         self.config = config
         self.times = np.linspace(0.0, 1.0, 33) if t_grid is None else np.asarray(t_grid)
         self.s_grid = np.linspace(0.0, 1.0, 200)
         self._curves_cache = {}
 
     def map_at(self, t):
-        if self.mode == "affine":
-            return lambda P: np.atleast_2d(P) + t * self.X(P)
         return lambda P: rk4_flow(self.X, P, t)
 
     def curves_at(self, t):
@@ -57,20 +51,9 @@ class FlowFamily:
         return self._curves_cache[key]
 
     def velocity_at(self, t):
-        """Velocity data (X_t, Z_t) valid on Gamma_t."""
-        if self.mode == "autonomous":
-            return VelocityPair.autonomous(self.X)  # autonomous: X_t = X
-        # affine: X_t(y) = X(Phi_t^-1 y), Z = 0; provide as curve data
-        arms_t = self.curves_at(t)
-        Xs, Zs = [], []
-        for i, arm in enumerate(self.config.arms):
-            base = arm.point(self.s_grid)
-            Xs.append(self.X(base))
-            Zs.append(np.zeros_like(base))
-        return CurveVelocity(arms_t, Xs, Zs, self.s_grid, label="affine")
-
-    def c2_norm(self, t):
-        return c2_distance_on_crack(self.config, self.map_at(t))
+        """Velocity data (X_t, Z_t) valid on Gamma_t: X_t = X for an
+        autonomous flow."""
+        return VelocityPair.autonomous(self.X)
 
     def check_inside(self, t):
         """Sampled trajectories must stay inside the closed domain."""
@@ -82,9 +65,9 @@ class FlowFamily:
                 raise AdmissibilityError("flow trajectory leaves the domain")
 
 
-def flow_from_field(X, config, t_grid=None, mode="autonomous"):
+def flow_from_field(X, config, t_grid=None):
     """AdmissibleFamily from a velocity field (spec: flow_from_field)."""
-    fam = FlowFamily(X, config, t_grid, mode)
+    fam = FlowFamily(X, config, t_grid)
     fam.check_inside(fam.times[-1])
     return fam
 
@@ -291,16 +274,6 @@ def build_test_field(config, phi):
     return V
 
 
-def descent_energy_delta(config, u, mesh, V, t):
-    """MS energy change along the flow of V.X at time t (one re-solve)."""
-    vx_t, arms_t = map_with_arms(config, lambda P: rk4_flow(V.X, P, t), 300, mesh.vx)
-    mesh_t = mesh.with_nodes(vx_t)
-    u_t = solve_transported(mesh_t, u)
-    e_t = ms_energy(u_t, config, "U", curves=arms_t)[0]
-    e_0 = ms_energy(u, config, "U")[0]
-    return float(e_t - e_0)
-
-
 # ----------------------------------------------------------------------
 # bulk extension of curve data (corner-compatible tube blending)
 # ----------------------------------------------------------------------
@@ -342,15 +315,6 @@ class BulkExtension(_TubeCornerBlend):
             if np.any(m):
                 val[m] = blend(P[m])
         return val
-
-
-def extend_to_bulk(config, arm_disp_fns, bdry_disp_fn=None):
-    """Diffeo whose displacement matches the given curve data (spec op)."""
-    from .diffeo import Diffeo
-    ext = BulkExtension(config, arm_disp_fns, bdry_disp_fn)
-    dif = Diffeo(ext, bbox=config.bbox(), label="bulk-extension")
-    dif.extension = ext
-    return dif
 
 
 # ----------------------------------------------------------------------
@@ -914,16 +878,9 @@ def _path_eval(paths, sgrid_unit, sigma, times):
     return pos, vel, acc
 
 
-def construct_connecting_family(config, target, eps=0.5, t_grid=None):
-    """Admissible family whose time-1 crack matches the target.
-
-    target: either a Diffeo-like callable (mapped arm samples are refit) or a
-    list of three target arm curves.
-    """
-    if isinstance(target, (list, tuple)):
-        target_arms = list(target)
-    else:
-        target_arms = mapped_arms(config, target, 400)
+def construct_connecting_family(config, target_arms, eps=0.5, t_grid=None):
+    """Admissible family whose time-1 crack matches the three target arm
+    curves."""
     return ConnectingFamily(config, target_arms, eps=eps, t_grid=t_grid)
 
 
@@ -971,26 +928,14 @@ def energy_at_map(config, u, mesh, map_fn):
     """(MS value, transported solution, transported mesh, refit arms).
 
     The mesh nodes and the arm samples go through one map_fn call. The
-    transported mesh is the morph of the base mesh (keeps everything
-    outside U bitwise identical); for large deformations that degrade the
-    morphed elements, a fresh mesh of the transported configuration is
-    generated instead and the constraint values are interpolated.
+    transported mesh is the morph of the base mesh, which keeps everything
+    outside U bitwise identical. There is no remeshing: a map that inverts or
+    degrades the morphed elements raises MeshError, and one that moves a node
+    pinned outside U raises SolveError.
     """
     vx_t, arms_t = map_with_arms(config, map_fn, 320, mesh.vx)
-    try:
-        mesh_t = mesh.with_nodes(vx_t)
-        u_t = solve_transported(mesh_t, u)
-    except (MeshError, SolveError):
-        from .crackmesh import generate_crack_mesh, mark_admissible_subdomain
-        x0_t = np.atleast_2d(map_fn(config.junction[None, :]))[0]
-        cfg_t = type(config)(x0_t, arms_t, config.outer, config.dirichlet_arcs,
-                             config.mu, config.tol_tangency, validate=False)
-        cfg_t.contact_params = config.contact_params.copy()
-        fresh = generate_crack_mesh(cfg_t, mesh.h)
-        mesh_t = mark_admissible_subdomain(fresh, config, mesh.mu
-                                           if mesh.mu is not None else config.mu)
-        u_t = solve_transported(mesh_t, u)
-        log.info("energy_at_map: fell back to fresh meshing")
+    mesh_t = mesh.with_nodes(vx_t)
+    u_t = solve_transported(mesh_t, u)
     total, bulk, length = ms_energy(u_t, config, "U", curves=arms_t)
     return total, u_t, mesh_t, arms_t
 

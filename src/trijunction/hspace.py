@@ -12,14 +12,14 @@ class JunctionScalar:
 
     Each phi_i is nodal P1 on a uniform grid over the arm parameter [0, 1]
     (s = 0 at the junction).  The junction constraint
-    (phi_1 + phi_2 + phi_3)(x0) = 0 is enforced at construction.
+    (phi_1 + phi_2 + phi_3)(x0) = 0 is enforced at construction, to 1e-12.
     """
 
-    def __init__(self, nodal, check_constraint=True, tol=1e-12):
+    def __init__(self, nodal, check_constraint=True):
         self.nodal = [np.asarray(v, dtype=float) for v in nodal]
         if len(self.nodal) != 3:
             raise ConfigError("need three per-arm nodal vectors")
-        if check_constraint and abs(self.junction_sum()) > tol:
+        if check_constraint and abs(self.junction_sum()) > 1e-12:
             raise ConfigError("junction constraint violated: sum %.3e"
                               % self.junction_sum())
 
@@ -27,14 +27,14 @@ class JunctionScalar:
         return float(sum(v[0] for v in self.nodal))
 
     @classmethod
-    def from_callables(cls, fns, n, project_constraint=False, **kw):
+    def from_callables(cls, fns, n, project_constraint=False):
         grids = [np.linspace(0.0, 1.0, n) for _ in range(3)]
         nodal = [np.asarray(f(g), dtype=float) for f, g in zip(fns, grids)]
         if project_constraint:
             c = sum(v[0] for v in nodal) / 3.0
             for v in nodal:
                 v[0] -= c
-        return cls(nodal, **kw)
+        return cls(nodal)
 
     @classmethod
     def zero(cls, n):
@@ -61,9 +61,6 @@ class JunctionScalar:
         return JunctionScalar([a + b for a, b in zip(self.nodal, other.nodal)],
                               check_constraint=False)
 
-    def endpoint_values(self):
-        return np.array([v[-1] for v in self.nodal])
-
     def norm_h1(self, config):
         """Sum_i ( ||phi_i||_L2^2 + ||phi_i'||_L2^2 ) with arc-length measure."""
         total = 0.0
@@ -79,18 +76,19 @@ class JunctionScalar:
 
 
 class SmoothJunctionScalar(JunctionScalar):
-    """Junction triple backed by smooth callables (analytic profiles).
+    """Junction triple backed by smooth callables (analytic profiles) fns and
+    their parameter derivatives dfns.
 
-    The nodal vectors are kept for compatibility; evaluation and parameter
-    derivatives use the callables, so quadratures see the smooth function
-    rather than its piecewise-linear interpolant.
+    The nodal vectors (257 per arm) are kept for compatibility; evaluation and
+    parameter derivatives use the callables, so quadratures see the smooth
+    function rather than its piecewise-linear interpolant.
     """
 
-    def __init__(self, fns, dfns=None, n=257, **kw):
+    def __init__(self, fns, dfns):
         self.fns = list(fns)
-        self.dfns = list(dfns) if dfns is not None else None
-        nodal = [np.asarray(f(np.linspace(0.0, 1.0, n)), float) for f in fns]
-        super().__init__(nodal, **kw)
+        self.dfns = list(dfns)
+        nodal = [np.asarray(f(np.linspace(0.0, 1.0, 257)), float) for f in fns]
+        super().__init__(nodal)
 
     def eval(self, arm_idx, s):
         s = np.atleast_1d(np.asarray(s, float))
@@ -98,12 +96,7 @@ class SmoothJunctionScalar(JunctionScalar):
 
     def deriv_param(self, arm_idx, s):
         s = np.atleast_1d(np.asarray(s, float))
-        if self.dfns is not None:
-            return np.asarray(self.dfns[arm_idx](s), float)
-        ds = 1e-6
-        hi = np.clip(s + ds, 0.0, 1.0)
-        lo = np.clip(s - ds, 0.0, 1.0)
-        return (self.eval(arm_idx, hi) - self.eval(arm_idx, lo)) / (hi - lo)
+        return np.asarray(self.dfns[arm_idx](s), float)
 
 
 def gauss_table(arm, n):

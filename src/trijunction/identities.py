@@ -55,13 +55,11 @@ def _frames(curve, s):
     return P, tau, nu, H
 
 
-def _spline_d(curve, s, values_fn, order=1, ds=1e-4):
-    """Derivative along arc length of a scalar sampled on the curve."""
+def _spline_d2(curve, s, values_fn):
+    """Second derivative along arc length of a scalar sampled on the curve
+    (central differences in the parameter, step 1e-4)."""
+    ds = 1e-4
     speed = np.linalg.norm(curve.velocity(s), axis=-1)
-    if order == 1:
-        f1 = values_fn(s + ds)
-        f0 = values_fn(s - ds)
-        return (f1 - f0) / (2 * ds) / speed
     f1 = values_fn(s + ds)
     f0 = values_fn(s)
     fm = values_fn(s - ds)
@@ -72,7 +70,7 @@ def item1(curve, u, s):
     """D^2 u[nu, nu] = -Lap_Gamma u (harmonic u with Neumann data)."""
     P, tau, nu, H = _frames(curve, s)
     lhs = np.einsum("ni,nij,nj->n", nu, u.hess(P), nu)
-    lap = _spline_d(curve, s, lambda q: u.value(curve.point(q)), order=2)
+    lap = _spline_d2(curve, s, lambda q: u.value(curve.point(q)))
     return lhs, -lap
 
 
@@ -81,11 +79,9 @@ def item2(curve, u, X, s):
     P, tau, nu, H = _frames(curve, s)
     xv = X(P)
     lhs = np.einsum("ni,nij,nj->n", xv, u.hess(P), nu)
-    lap = _spline_d(curve, s, lambda q: u.value(curve.point(q)), order=2)
+    lap = _spline_d2(curve, s, lambda q: u.value(curve.point(q)))
     gt = np.sum(u.grad(P) * tau, axis=1)
     dnu_term = H * gt * np.sum(xv * tau, axis=1)
-    rhs = -np.sum(xv * nu, axis=1) * (-lap) * (-1.0) - dnu_term
-    # -(X.nu) Lap u: written explicitly to keep the sign visible
     rhs = -np.sum(xv * nu, axis=1) * lap - dnu_term
     return lhs, rhs
 
@@ -111,10 +107,10 @@ def item3(curve, u, X, s):
     return lhs, rhs
 
 
-def item4(curve, s, h_fd=None):
+def item4(curve, s):
     """normal derivative of the curvature of the distance extension = -H^2."""
     P, tau, nu, H = _frames(curve, s)
-    h = h_fd if h_fd is not None else 2e-4 * max(1.0, curve.length)
+    h = 2e-4 * max(1.0, curve.length)
 
     def H_ext(Q):
         # Laplacian of the signed distance by a 5-point stencil
@@ -139,10 +135,10 @@ def item5(curve, u, s):
     return lhs, -H * gt ** 2
 
 
-def _pushforward_normal(curve, X, s, t, substeps=8):
+def _pushforward_normal(curve, X, s, t):
     P = curve.point(s)
     nu = curve.normal(s)
-    _, J = rk4_flow_with_jac(X, P, t, substeps)
+    _, J = rk4_flow_with_jac(X, P, t)
     det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
     invT = np.empty_like(J)
     invT[:, 0, 0] = J[:, 1, 1]
@@ -154,15 +150,17 @@ def _pushforward_normal(curve, X, s, t, substeps=8):
     return w / np.linalg.norm(w, axis=1)[:, None], det, w
 
 
-def item6(curve, X, s, t_fd=1e-3, refit=900):
+def item6(curve, X, s):
     """nu-dot = -grad_G (X.nu).
 
     nu-dot is the time derivative of the moving normal *field* at a fixed
     spatial point (zero for purely tangential flows), evaluated by refitting
-    the flowed curve and reading its projection-extended normal.
+    the flowed curve through 900 samples and reading its projection-extended
+    normal, central differences in time with step 1e-3.
     """
+    t_fd = 1e-3
     P, tau, nu, H = _frames(curve, s)
-    ss = np.linspace(0.0, 1.0, refit)
+    ss = np.linspace(0.0, 1.0, 900)
     base = curve.point(ss)
 
     def normal_field_at_P(t):
@@ -177,9 +175,10 @@ def item6(curve, X, s, t_fd=1e-3, refit=900):
     return lhs, rhs
 
 
-def item7(curve, X, s, t_fd=1e-4):
+def item7(curve, X, s):
     """d/dt [ Phi-dot . (nu_t o Phi_t) J_t ] = Z.nu - 2 X_par . grad_G(X.nu)
     + Dnu[X_par, X_par] + div_G((X.nu) X)."""
+    t_fd = 1e-4
     P, tau, nu, H = _frames(curve, s)
 
     def val(t):
@@ -201,17 +200,18 @@ def item7(curve, X, s, t_fd=1e-4):
     return lhs, rhs
 
 
-def _eta_pushforward(curve, X, end, t, substeps=8):
+def _eta_pushforward(curve, X, end, t):
     s = np.array([float(end)])
     eta = curve.outward_tangent(end)[None, :]
     P = curve.point(s)
-    _, J = rk4_flow_with_jac(X, P, t, substeps)
+    _, J = rk4_flow_with_jac(X, P, t)
     v = np.einsum("nij,nj->ni", J, eta)
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def item_i(curve, X, end, t_fd=1e-4):
+def item_i(curve, X, end):
     """eta-dot = (D_G X)^T [nu, eta] nu at an arc endpoint."""
+    t_fd = 1e-4
     s = np.array([float(end)])
     P, tau, nu, H = _frames(curve, s)
     eta = curve.outward_tangent(end)[None, :]
@@ -222,8 +222,9 @@ def item_i(curve, X, end, t_fd=1e-4):
     return lhs[0], (coef[:, None] * nu)[0]
 
 
-def item_ii(curve, X, end, t_fd=1e-4):
+def item_ii(curve, X, end):
     """X . eta-dot = -(X.nu)(nu-dot . eta) - H (X.nu)(X.eta)."""
+    t_fd = 1e-4
     s = np.array([float(end)])
     P, tau, nu, H = _frames(curve, s)
     eta = curve.outward_tangent(end)[None, :]
@@ -240,9 +241,10 @@ def item_ii(curve, X, end, t_fd=1e-4):
     return lhs, rhs
 
 
-def item_iii(bdry_curve, X, t_bdry, h_fd=1e-4):
+def item_iii(bdry_curve, X, t_bdry):
     """Z . nu_bdry + Dnu_bdry[X, X] = 0 at a boundary point for flows
-    tangent to the boundary."""
+    tangent to the boundary (Dnu by central differences with step 1e-4)."""
+    h_fd = 1e-4
     s = np.array([float(t_bdry)])
     P = bdry_curve.point(s)
     nu = bdry_curve.normal(s)
@@ -321,10 +323,11 @@ def parabola_neumann_field():
     return AnalyticScalarField.holomorphic(G, dG, d2G)
 
 
-def canonical_identity_suite(n_samples=40):
-    """Residual table over the circle and parabola arcs with analytic data."""
+def canonical_identity_suite():
+    """Residual table over the circle and parabola arcs with analytic data,
+    at 40 interior parameters."""
     results = {}
-    s = np.linspace(0.08, 0.92, n_samples)
+    s = np.linspace(0.08, 0.92, 40)
     # circle arc of radius 1 (clockwise so the normal points outward)
     circ = ParamCurve.arc((0.0, 0.0), 1.0, 0.9 * np.pi, 0.1 * np.pi, n=1500)
     u_c = circle_neumann_field(1.0)

@@ -14,7 +14,7 @@ from .config import TripleJunctionConfig, map_with_arms
 from .crackmesh import mark_admissible_subdomain
 from .fem import CrackLoadAssembler, mesh_operator, transported_pin_set, solve_transported
 from .hspace import junction_basis, combine, gauss_table
-from .variation import criticality_residual
+from .variation import criticality_residual, ms_energy
 
 log = logging.getLogger("trijunction.stability")
 
@@ -306,12 +306,14 @@ def necessity_probe(config, u, mesh, n=32, n_random=20, t_descent=1e-2):
            "sampled_min": min(vals), "tol_neg": tol_neg,
            "has_negative": bool(negative) or rep.lam_min < -tol_neg}
     if out["has_negative"]:
-        from .flows import build_test_field, descent_energy_delta
+        from .fields import rk4_flow
+        from .flows import build_test_field, energy_at_map
         phi_min = combine(basis, rep.eigvec_min())
         nrm = np.sqrt(phi_min.norm_h1(config))
         phi_min = phi_min.scaled(1.0 / nrm)
         V = build_test_field(config, phi_min)
-        delta = descent_energy_delta(config, u, mesh, V, t_descent)
+        e_t = energy_at_map(config, u, mesh, lambda P: rk4_flow(V.X, P, t_descent))[0]
+        delta = float(e_t - ms_energy(u, config, "U")[0])
         out["descent_delta"] = delta
         out["descent_found"] = bool(delta < 0.0)
     return out

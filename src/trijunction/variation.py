@@ -49,22 +49,19 @@ class VelocityPair:
         return True
 
     # ---- protocol used by the variation formulas -----------------------
-    def arm_values(self, arm_idx, s, pos, tau, nu, H, curve=None):
+    def arm_values(self, arm_idx, s, pos, tau, nu, curve):
+        """X.nu, X.tau, Z.nu and d(X.nu)/d(arc) at the points pos = curve(s)."""
         xv = self.X(pos)
         zv = self.Z(pos)
         xn = np.sum(xv * nu, axis=1)
         xt = np.sum(xv * tau, axis=1)
         zn = np.sum(zv * nu, axis=1)
-        if curve is not None:
-            # d(X.nu)/d(arc) via the restriction to the curve: smoother than
-            # the ambient-Jacobian formula for fields with C^1 seams
-            g = np.linspace(0.0, 1.0, 800)
-            xn_spline = CubicSpline(g, np.sum(self.X(curve.point(g)) * curve.normal(g), axis=1))
-            speed = np.linalg.norm(curve.velocity(s), axis=-1)
-            dxn = xn_spline(s, 1) / speed
-        else:
-            J = self.X.jac(pos)
-            dxn = np.einsum("ni,nij,nj->n", nu, J, tau) + H * xt
+        # d(X.nu)/d(arc) via the restriction to the curve: smoother than the
+        # ambient-Jacobian formula for fields with C^1 seams
+        g = np.linspace(0.0, 1.0, 800)
+        xn_spline = CubicSpline(g, np.sum(self.X(curve.point(g)) * curve.normal(g), axis=1))
+        speed = np.linalg.norm(curve.velocity(s), axis=-1)
+        dxn = xn_spline(s, 1) / speed
         return xn, xt, zn, dxn
 
     def normal_speed(self, arm_idx, s, pos, nu):
@@ -100,7 +97,7 @@ class CurveVelocity:
             self._zv.append(CubicSpline(s, Zs))
             self._xv.append(CubicSpline(s, Xs))
 
-    def arm_values(self, arm_idx, s, pos, tau, nu, H, curve=None):
+    def arm_values(self, arm_idx, s, pos, tau, nu, curve):
         speed = np.linalg.norm(self.arms[arm_idx].velocity(s), axis=-1)
         xn = self._xn[arm_idx](s)
         xt = self._xt[arm_idx](s)
@@ -258,8 +255,7 @@ def second_variation(config, u, V, curves=None):
     rep.dotu_term = -2.0 * dot_u.energy()
     grad_t = curv_t = f_t = 0.0
     for i, q in enumerate(quad.arms):
-        xn, xt, zn, dxn = V.arm_values(i, q["s"], q["pos"], q["tau"], q["nu"],
-                                       q["H"], curve=arms[i])
+        xn, xt, zn, dxn = V.arm_values(i, q["s"], q["pos"], q["tau"], q["nu"], arms[i])
         fvals = _f_values(q)
         grad_t += float(np.sum(dxn ** 2 * q["w"]))
         curv_t += float(np.sum(q["H"] ** 2 * xn ** 2 * q["w"]))

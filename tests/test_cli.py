@@ -176,6 +176,30 @@ def test_benchmark_trace_targets_resolve():
         assert owner.__dict__[attr] is orig
 
 
+def test_top_level_exports_are_imported():
+    """Every name the package exports, the exception classes aside, is
+    imported from the top level by the CLI, a test, a demo or the benchmark
+    (read from the syntax trees, nothing is imported)."""
+    import ast
+    src = os.path.join(ROOT, "src", "trijunction")
+    with open(os.path.join(src, "__init__.py")) as f:
+        tree = ast.parse(f.read())
+    exported = {a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "errors"
+                for a in node.names}
+    paths = [os.path.join(src, "cli.py")] + [
+        os.path.join(ROOT, d, name) for d in ("tests", "demos", "perfbench")
+        for name in sorted(os.listdir(os.path.join(ROOT, d))) if name.endswith(".py")]
+    used = set()
+    for path in paths:
+        with open(path) as f:
+            for node in ast.walk(ast.parse(f.read())):
+                if isinstance(node, ast.ImportFrom) and node.module == "trijunction" \
+                        and node.level == 0:
+                    used.update(a.name for a in node.names)
+    assert sorted(exported - used) == []
+
+
 # random_1 is a test field, whose corner blends stop each point's Newton
 # iteration on convergence; its delta may move by this much
 SWEEP_DELTA_TOL = 1e-14

@@ -287,7 +287,7 @@ class TwoSplineCurve(ParamCurve):
     """ParamCurve built and evaluated through one scalar spline per
     coordinate: the construction the vector spline must reproduce bit for bit."""
 
-    def _build(self, pts, resample, end_tangents, passes):
+    def _build(self, pts, end_tangents):
         from scipy.interpolate import CubicSpline
         from scipy.spatial import cKDTree
 
@@ -307,12 +307,12 @@ class TwoSplineCurve(ParamCurve):
 
         if self.closed and np.linalg.norm(pts[0] - pts[-1]) > 1e-12:
             pts = np.vstack([pts, pts[0]])
-        n = resample if resample is not None else pts.shape[0]
+        n = pts.shape[0]
         t = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
         chord = t[-1]
         t /= t[-1]
         sx, sy = fit(t, pts[:, 0], pts[:, 1], chord)
-        for _ in range(passes):
+        for _ in range(2):
             tf = np.linspace(0.0, 1.0, max(8 * n, 1024))
             sp = np.hypot(sx(tf, 1), sy(tf, 1))
             arc = np.concatenate([[0.0], np.cumsum(0.5 * (sp[1:] + sp[:-1]) * np.diff(tf))])

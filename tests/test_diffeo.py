@@ -72,18 +72,3 @@ def test_area_formula_randomized(rng):
         scale = arc.integrate(lambda s: np.abs(f(arc.point(s)))) + 1e-30
         worst = max(worst, abs(lhs - rhs) / scale)
     assert worst < 1e-7
-
-
-def test_grid_diffeo_derivatives():
-    bbox = ((-1.2, 1.2), (-1.2, 1.2))
-    phi = Diffeo.on_grid(lambda P: 0.05 * np.stack(
-        [np.sin(2 * P[:, 1]), np.cos(P[:, 0])], axis=1), bbox, n=64)
-    P = np.array([[0.3, -0.2], [0.1, 0.55]])
-    J = phi.jacobian(P)
-    exact = np.zeros((2, 2, 2))
-    exact[:, 0, 1] = 0.1 * np.cos(2 * P[:, 1])
-    exact[:, 1, 0] = -0.05 * np.sin(P[:, 0])
-    assert np.max(np.abs(J - np.eye(2) - exact)) < 1e-6
-    H = phi.hessian(P)
-    assert H.shape == (2, 2, 2, 2)
-    assert phi.check_orientation(P) > 0.9

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 from trijunction import (VectorField, VelocityPair, JunctionScalar, ParamCurve,
                          flow_from_field, build_test_field,
                          construct_connecting_family, verify_flow_estimates,
-                         extend_to_bulk, energy_at_map, energy_taylor_check,
+                         energy_at_map, energy_taylor_check,
                          energy_comparison_sweep, perturbation_catalog,
-                         AdmissibilityError, GeometryError, radial_bump, rk4_flow,
-                         c2_distance_on_crack)
+                         AdmissibilityError, GeometryError, MeshError, SolveError,
+                         radial_bump, rk4_flow, c2_distance_on_crack, solve_transported)
 from trijunction.fields import rk4_flow_with_jac, CornerBlend, corner_coordinates
 from trijunction.flows import chi, BulkExtension
 
@@ -25,20 +25,6 @@ def test_flow_zero_field(disk):
     mp = fam.map_at(1.0)
     P = np.array([[0.2, 0.3], [-0.4, 0.1]])
     assert np.allclose(mp(P), P)
-
-
-def test_flow_affine_mode(disk):
-    cfg, mesh, u = disk
-    X = _bump_field(cfg)
-    fam = flow_from_field(X, cfg, mode="affine")
-    V = fam.velocity_at(0.5)
-    s = np.linspace(0.1, 0.9, 15)
-    arms = fam.curves_at(0.5)
-    for i in range(3):
-        pos = arms[i].point(s)
-        _, _, zn, _ = V.arm_values(i, s, pos, arms[i].tangent(s),
-                                   arms[i].normal(s), arms[i].curvature(s))
-        assert np.max(np.abs(zn)) < 1e-12  # affine flows have zero acceleration
 
 
 def test_flow_autonomous_acceleration(disk, rng):
@@ -104,19 +90,19 @@ def test_corner_blend_exactness():
 def test_extend_to_bulk(trilobe):
     cfg, mesh, u = trilobe
     zero = lambda s: np.zeros((np.atleast_1d(s).size, 2))
-    ident = extend_to_bulk(cfg, [zero, zero, zero])
+    ident = BulkExtension(cfg, [zero, zero, zero])
     P = np.array([[0.1, 0.2], [-0.3, 0.1], [0.0, 0.6]])
-    assert np.max(np.abs(ident(P) - P)) < 1e-12
+    assert np.max(np.abs(ident(P))) < 1e-12
     # bump on one arm: exact on the arm, supported in its tube
     prof = lambda s: (1e-3 * np.sin(np.pi * np.atleast_1d(s)) ** 2)[:, None] \
         * cfg.arms[0].normal(np.atleast_1d(s))
-    ext = extend_to_bulk(cfg, [prof, zero, zero])
+    ext = BulkExtension(cfg, [prof, zero, zero])
     ss = np.linspace(0, 1, 80)
-    on_arm = ext.displacement(cfg.arms[0].point(ss))
+    on_arm = ext(cfg.arms[0].point(ss))
     assert np.max(np.abs(on_arm - prof(ss))) < 1e-9
     far = cfg.arms[1].point(np.linspace(0.3, 0.9, 20)) \
         + 0.05 * cfg.arms[1].normal(np.linspace(0.3, 0.9, 20))
-    assert np.max(np.abs(ext.displacement(far))) < 1e-12
+    assert np.max(np.abs(ext(far))) < 1e-12
     # data with a common value at x0, and boundary-tangent values at the
     # contacts that the boundary data matches: exact on every arm, and on the
     # outer boundary where only the contact-corner blend acts
@@ -138,15 +124,15 @@ def test_extend_to_bulk(trilobe):
             amp += a * chi(((t - ti + 0.5) % 1.0 - 0.5) ** 2 / 0.02 ** 2)
         return amp[:, None] * cfg.outer.tangent(t)
     fns = [arm_data(i) for i in range(3)]
-    ext = extend_to_bulk(cfg, fns, bdry)
+    ext = BulkExtension(cfg, fns, bdry)
     for i, arm in enumerate(cfg.arms):
-        assert np.max(np.abs(ext.displacement(arm.point(ss)) - fns[i](ss))) < 1e-12
+        assert np.max(np.abs(ext(arm.point(ss)) - fns[i](ss))) < 1e-12
     tb = np.linspace(0.0, 1.0, 4001)
     for i, arm in enumerate(cfg.arms):
         near = tb[np.linalg.norm(cfg.outer.point(tb) - arm.point(1.0), axis=1)
-                  < 0.6 * ext.extension.delta_c[i]]
+                  < 0.6 * ext.delta_c[i]]
         assert near.size > 100
-        assert np.max(np.abs(ext.displacement(cfg.outer.point(near)) - bdry(near))) < 1e-12
+        assert np.max(np.abs(ext(cfg.outer.point(near)) - bdry(near))) < 1e-12
 
 
 def test_energy_at_map_identity(disk):
@@ -154,6 +140,18 @@ def test_energy_at_map_identity(disk):
     e0 = energy_at_map(cfg, u, mesh, lambda P: P)[0]
     from trijunction import ms_energy
     assert abs(e0 - ms_energy(u, cfg, "U")[0]) < 1e-9
+
+
+def test_transport_raises_instead_of_remeshing(disk):
+    """A mesh that moves the pinned nodes, and a map that inverts elements,
+    raise: there is no interpolation onto a foreign mesh and no remeshing."""
+    cfg, mesh, u = disk
+    with pytest.raises(SolveError):
+        solve_transported(mesh.with_nodes(1.001 * mesh.vx), u)
+    x0 = cfg.junction
+    shove = lambda P: P + 0.3 * radial_bump(P, x0, 0.0, 0.06)[:, None] * np.array([1.0, 0.0])
+    with pytest.raises(MeshError):
+        energy_at_map(cfg, u, mesh, shove)
 
 
 def _assert_bulk_map_matches_arms(fam, cfg):
@@ -188,6 +186,19 @@ def test_connecting_family_normal_bump(trilobe):
     dt = fam.times[1] - fam.times[0]
     fd = (fam.pos[0, k + 1] - fam.pos[0, k - 1]) / (2 * dt)
     assert np.max(np.abs(fd - fam.vel[0, k])) < 1e-6
+    # the velocity data second_variation reads at t_k: X.nu on the arms and
+    # X.eta, Z.eta at the contacts match the stored tables
+    V = fam.velocity_at(fam.times[k])
+    s = fam.s_grid
+    for i, arm in enumerate(fam.curves_at(fam.times[k])):
+        pos, tau, nu = arm.point(s), arm.tangent(s), arm.normal(s)
+        xn = np.sum(fam.vel[i, k] * nu, axis=1)
+        assert np.max(np.abs(V.normal_speed(i, s, pos, nu) - xn)) < 1e-12
+        assert np.max(np.abs(V.arm_values(i, s, pos, tau, nu, arm)[0] - xn)) < 1e-12
+        eta = arm.tangent(1.0)
+        xe, ze = V.endpoint_values(i, arm.point(1.0), eta)
+        assert abs(xe - fam.vel[i, k, -1] @ eta) < 1e-12
+        assert abs(ze - fam.acc[i, k, -1] @ eta) < 1e-12
 
 
 @pytest.mark.slow
